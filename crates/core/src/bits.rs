@@ -100,7 +100,7 @@ pub fn estimator_variance(bit_means: &[f64], probs: &[f64], n: usize) -> f64 {
 /// Plane `j` holds two bitmaps along the client-slot axis: an *occupancy*
 /// bitmap (slot delivered a report for bit position `j`) and a *value*
 /// bitmap (the reported bit itself, always a subset of the occupancy
-/// bits). Tallying a plane is `count_ones()` over its `u64` words — 64
+/// bits). A slot holds at most one report, on one plane. Tallying a plane is `count_ones()` over its `u64` words — 64
 /// clients per instruction — and is exactly the scalar per-client tally
 /// `ones[j] += bit; counts[j] += 1`, so plane aggregation is bit-identical
 /// to the frame-at-a-time accumulate it replaces.
@@ -118,6 +118,9 @@ pub struct BitPlanes {
     /// `bits * words` words; plane `j` is `[j * words, (j + 1) * words)`.
     occupancy: Vec<u64>,
     value: Vec<u64>,
+    /// `words` words: the union of every plane's occupancy, i.e. the slots
+    /// that already hold their one report.
+    filled: Vec<u64>,
 }
 
 impl BitPlanes {
@@ -135,6 +138,7 @@ impl BitPlanes {
             words,
             occupancy: vec![0; bits as usize * words],
             value: vec![0; bits as usize * words],
+            filled: vec![0; words],
         }
     }
 
@@ -160,13 +164,15 @@ impl BitPlanes {
     ///
     /// # Panics
     /// Panics if `slot` or `plane` is out of range, or if the slot already
-    /// reported on this plane (each slot carries exactly one report).
+    /// reported on any plane (each slot carries exactly one report).
     pub fn record(&mut self, slot: usize, plane: u32, value: bool) {
         assert!(slot < self.slots, "slot {slot} out of {}", self.slots);
         assert!(plane < self.bits, "plane {plane} out of {}", self.bits);
-        let idx = plane as usize * self.words + slot / 64;
+        let word = slot / 64;
         let mask = 1u64 << (slot % 64);
-        assert_eq!(self.occupancy[idx] & mask, 0, "slot {slot} reported twice");
+        assert_eq!(self.filled[word] & mask, 0, "slot {slot} reported twice");
+        self.filled[word] |= mask;
+        let idx = plane as usize * self.words + word;
         self.occupancy[idx] |= mask;
         if value {
             self.value[idx] |= mask;
@@ -257,8 +263,9 @@ impl BitPlanes {
 
     /// Rebuilds planes from raw bitmap words (the batched-wire decode
     /// path). Fails closed on any non-canonical input: wrong word counts,
-    /// set padding bits past `slots`, or a value bit outside its occupancy
-    /// bit.
+    /// set padding bits past `slots`, a value bit outside its occupancy
+    /// bit, or a slot occupied on more than one plane (one client, one
+    /// report).
     ///
     /// # Errors
     /// Returns a static description of the first violated invariant.
@@ -287,12 +294,22 @@ impl BitPlanes {
         if occupancy.iter().zip(&value).any(|(o, v)| v & !o != 0) {
             return Err("value bit outside occupancy");
         }
+        let mut filled = vec![0u64; words];
+        for plane in occupancy.chunks_exact(words.max(1)) {
+            for (f, &o) in filled.iter_mut().zip(plane) {
+                if *f & o != 0 {
+                    return Err("slot occupied on two planes");
+                }
+                *f |= o;
+            }
+        }
         Ok(Self {
             bits,
             slots,
             words,
             occupancy,
             value,
+            filled,
         })
     }
 
@@ -323,10 +340,17 @@ impl BitPlanes {
                 }
             }
         }
+        let mut filled = vec![0u64; new_words];
+        for plane in occupancy.chunks_exact(new_words.max(1)) {
+            for (f, &o) in filled.iter_mut().zip(plane) {
+                *f |= o;
+            }
+        }
         self.slots = new_slots;
         self.words = new_words;
         self.occupancy = occupancy;
         self.value = value;
+        self.filled = filled;
     }
 }
 
@@ -519,6 +543,8 @@ mod tests {
         assert!(BitPlanes::from_words(1, 10, vec![1 << 10], vec![0]).is_err());
         // Value bit without its occupancy bit.
         assert!(BitPlanes::from_words(1, 10, vec![0b01], vec![0b10]).is_err());
+        // One slot reporting on two planes.
+        assert!(BitPlanes::from_words(2, 3, vec![0b1, 0b1], vec![0b1, 0b0]).is_err());
         // Zero planes.
         assert!(BitPlanes::from_words(0, 10, vec![], vec![]).is_err());
     }
@@ -529,5 +555,13 @@ mod tests {
         let mut planes = BitPlanes::new(2, 4);
         planes.record(1, 0, true);
         planes.record(1, 0, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "reported twice")]
+    fn one_slot_on_two_planes_is_rejected() {
+        let mut planes = BitPlanes::new(2, 4);
+        planes.record(1, 0, true);
+        planes.record(1, 1, false);
     }
 }

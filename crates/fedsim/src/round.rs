@@ -21,11 +21,13 @@
 //! fleet behaviour.
 
 use fednum_core::accumulator::BitAccumulator;
-use fednum_core::bits::bit;
+use fednum_core::bits::{bit, BitPlanes};
 use fednum_core::privacy::PrivacyLedger;
 use fednum_core::protocol::basic::{BasicBitPushing, BasicConfig, Outcome};
 use fednum_core::sampling::BitSampling;
-use fednum_secagg::protocol::{run_secure_aggregation, DropoutPlan, SecAggConfig, SecAggError};
+use fednum_secagg::protocol::{
+    run_secure_aggregation_planes, DropoutPlan, SecAggConfig, SecAggError,
+};
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -315,15 +317,6 @@ pub struct RobustnessReport {
     /// `fednum-transport` coordinator.
     pub traffic: TrafficStats,
 }
-
-/// The old name of [`RobustnessReport`], freed up so the unified
-/// [`RoundBuilder`](https://docs.rs/fednum) result could take it.
-#[deprecated(
-    since = "0.2.0",
-    note = "renamed to `RobustnessReport`; `RoundOutcome` now names the \
-            unified result of `fednum::transport::RoundBuilder`"
-)]
-pub type RoundOutcome = RobustnessReport;
 
 /// Result of a federated mean-estimation task.
 #[derive(Debug, Clone)]
@@ -664,16 +657,14 @@ pub fn run_round_impl(
                 let n = cohort.len();
                 let threshold =
                     ((settings.threshold_fraction * n as f64).ceil() as usize).clamp(1, n);
-                let mut inputs = Vec::with_capacity(n);
+                let mut planes = BitPlanes::new(bits, n);
                 let mut plan = DropoutPlan::none();
                 let mut eff = vec![0u64; bits as usize];
                 for (i, &ci) in cohort.iter().enumerate() {
                     let c = &contacts[ci];
-                    let mut v = vec![0u64; vector_len];
                     match c.report {
                         Some(sent) => {
-                            v[c.bit as usize] = u64::from(sent);
-                            v[bits as usize + c.bit as usize] = 1;
+                            planes.record(i, c.bit, sent);
                             eff[c.bit as usize] += 1;
                             if c.fate == Fate::DropsAfterReport {
                                 plan.after_masking.insert(i);
@@ -683,7 +674,6 @@ pub fn run_round_impl(
                             plan.before_masking.insert(i);
                         }
                     }
-                    inputs.push(v);
                 }
                 // Fresh masks per attempt, deterministically derived.
                 let session = config.session_seed
@@ -692,7 +682,11 @@ pub fn run_round_impl(
                 if let Some(k) = settings.neighbors {
                     sa_config = sa_config.with_neighbors(k);
                 }
-                match run_secure_aggregation(&sa_config, &inputs, &plan, rng) {
+                // Masked popcount over the attempt's bit planes: the
+                // server learns exactly the per-bit sums, and no randomness
+                // is drawn, so the event-driven coordinator's tally leaves
+                // the shared RNG where this one does.
+                match run_secure_aggregation_planes(&sa_config, &planes, &plan) {
                     Ok(out) => {
                         // Sanity: the securely aggregated counts match the
                         // tally over this attempt's cohort.

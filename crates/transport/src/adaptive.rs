@@ -34,27 +34,12 @@ use crate::session::MultiSessionEngine;
 
 /// Runs the two-round adaptive protocol as two sessions over one shared
 /// transport, with the round-1 → round-2 weight feedback carried in the
-/// round-1 Publish frame.
+/// round-1 Publish frame — the engine behind
+/// `RoundBuilder::new_adaptive(..).via(transport)`.
 ///
 /// # Errors
 /// [`FedError::PopulationTooSmall`] unless there are at least two clients;
 /// otherwise propagates either session's error.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `fednum::transport::RoundBuilder::new_adaptive(config).via(transport)\
-            .run(values)`"
-)]
-pub fn run_federated_adaptive_transport(
-    values: &[f64],
-    config: &FederatedAdaptiveConfig,
-    transport: &mut dyn Transport,
-    rng: &mut dyn Rng,
-) -> Result<FederatedAdaptiveOutcome, FedError> {
-    adaptive_transport_impl(values, config, transport, rng)
-}
-
-/// The two-session adaptive engine behind the deprecated free function and
-/// the `RoundBuilder` facade.
 pub(crate) fn adaptive_transport_impl(
     values: &[f64],
     config: &FederatedAdaptiveConfig,
@@ -94,6 +79,7 @@ pub(crate) fn adaptive_transport_impl(
             &cohort1,
             &make_env(round1_protocol),
             None,
+            None,
             &mut slot,
             rng,
             true,
@@ -120,6 +106,7 @@ pub(crate) fn adaptive_transport_impl(
         run_session_inner(
             &cohort2,
             &make_env(round2_protocol),
+            None,
             None,
             &mut slot,
             rng,
@@ -175,16 +162,6 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    // Non-deprecated shim shadowing the glob-imported legacy wrapper.
-    fn run_federated_adaptive_transport(
-        values: &[f64],
-        config: &FederatedAdaptiveConfig,
-        transport: &mut dyn Transport,
-        rng: &mut dyn Rng,
-    ) -> Result<FederatedAdaptiveOutcome, FedError> {
-        adaptive_transport_impl(values, config, transport, rng)
-    }
-
     fn env(bits: u32) -> FederatedMeanConfig {
         FederatedMeanConfig::new(BasicConfig::new(
             FixedPointCodec::integer(bits),
@@ -203,8 +180,7 @@ mod tests {
         let cfg = FederatedAdaptiveConfig::new(env(12));
         let mut t = InMemoryTransport::new(0xADAF);
         let out =
-            run_federated_adaptive_transport(&vs, &cfg, &mut t, &mut StdRng::seed_from_u64(1))
-                .unwrap();
+            adaptive_transport_impl(&vs, &cfg, &mut t, &mut StdRng::seed_from_u64(1)).unwrap();
         assert!(
             (out.estimate - truth).abs() / truth < 0.05,
             "est {} truth {truth}",
@@ -222,8 +198,7 @@ mod tests {
         let cfg = FederatedAdaptiveConfig::new(env(14).with_dropout(DropoutModel::bernoulli(0.3)));
         let mut t = InMemoryTransport::new(7);
         let out =
-            run_federated_adaptive_transport(&vs, &cfg, &mut t, &mut StdRng::seed_from_u64(2))
-                .unwrap();
+            adaptive_transport_impl(&vs, &cfg, &mut t, &mut StdRng::seed_from_u64(2)).unwrap();
         let dropped = out
             .round2_sampling
             .probs()
@@ -239,7 +214,7 @@ mod tests {
         let cfg = FederatedAdaptiveConfig::new(env(4));
         let mut t = InMemoryTransport::new(0);
         assert!(matches!(
-            run_federated_adaptive_transport(&[1.0], &cfg, &mut t, &mut StdRng::seed_from_u64(0)),
+            adaptive_transport_impl(&[1.0], &cfg, &mut t, &mut StdRng::seed_from_u64(0)),
             Err(FedError::PopulationTooSmall { got: 1, need: 2 })
         ));
     }

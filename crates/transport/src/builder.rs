@@ -53,7 +53,7 @@ use fednum_fedsim::round::{run_round_impl, FederatedMeanConfig, FederatedOutcome
 use fednum_hiersec::HierSecConfig;
 
 use crate::adaptive::adaptive_transport_impl;
-use crate::coordinator::{run_session, run_session_batched};
+use crate::coordinator::run_session;
 use crate::hier::{hierarchical_impl, HierShardedOutcome, ShardTransportFactory};
 use crate::net::{InMemoryTransport, Transport, WireMetrics};
 use crate::shard::{sharded_impl, ShardedOutcome};
@@ -364,93 +364,39 @@ impl<'a> RoundBuilder<'a> {
                     Some(r) => r,
                     None => &mut default_rng,
                 };
-                if let Some(shuffle) = self.shuffle {
-                    return match self.transport {
-                        Some(transport) => {
-                            let res = run_shuffled_session(
-                                values,
-                                &cfg,
-                                &shuffle,
-                                self.ledger,
-                                transport,
-                                rng,
-                            );
-                            finish_via(res, transport).map(|(out, wire)| RoundOutcome {
-                                detail: RoundDetail::Shuffled(out),
-                                wire,
-                            })
-                        }
-                        None => {
-                            // Purely in-process shuffled round: a fresh
-                            // seeded in-memory transport, same as `.via`
-                            // with `InMemoryTransport::new(seed)`.
-                            let mut transport = InMemoryTransport::new(seed);
-                            run_shuffled_session(
-                                values,
-                                &cfg,
-                                &shuffle,
-                                self.ledger,
-                                &mut transport,
-                                rng,
-                            )
-                            .map(|out| RoundOutcome {
-                                detail: RoundDetail::Shuffled(out),
-                                wire: None,
-                            })
-                        }
-                    };
-                }
-                if let Some(chunk) = self.batched {
-                    return match self.transport {
-                        Some(transport) => {
-                            let res = run_session_batched(
-                                values,
-                                &cfg,
-                                chunk,
-                                self.ledger,
-                                transport,
-                                rng,
-                            );
-                            finish_via(res, transport).map(|(out, wire)| RoundOutcome {
-                                detail: RoundDetail::Flat(out),
-                                wire,
-                            })
-                        }
-                        None => {
-                            // Purely in-process batched round: a fresh
-                            // seeded in-memory transport, same as `.via`
-                            // with `InMemoryTransport::new(seed)`.
-                            let mut transport = InMemoryTransport::new(seed);
-                            run_session_batched(
-                                values,
-                                &cfg,
-                                chunk,
-                                self.ledger,
-                                &mut transport,
-                                rng,
-                            )
-                            .map(|out| RoundOutcome {
-                                detail: RoundDetail::Flat(out),
-                                wire: None,
-                            })
-                        }
-                    };
-                }
-                match self.transport {
-                    Some(transport) => {
-                        let res = run_session(values, &cfg, self.ledger, transport, rng);
-                        finish_via(res, transport).map(|(out, wire)| RoundOutcome {
-                            detail: RoundDetail::Flat(out),
-                            wire,
-                        })
+                // Without `.via`, a shuffled or batched round runs over a
+                // fresh seeded in-memory transport, same as `.via` with
+                // `InMemoryTransport::new(seed)`; anything else runs on
+                // the sync engine.
+                let mut in_memory;
+                let transport: &mut dyn Transport = match self.transport {
+                    Some(transport) => transport,
+                    None if self.shuffle.is_some() || self.batched.is_some() => {
+                        in_memory = InMemoryTransport::new(seed);
+                        &mut in_memory
                     }
                     None => {
-                        run_round_impl(values, &cfg, self.ledger, rng).map(|out| RoundOutcome {
-                            detail: RoundDetail::Flat(out),
-                            wire: None,
+                        return run_round_impl(values, &cfg, self.ledger, rng).map(|out| {
+                            RoundOutcome {
+                                detail: RoundDetail::Flat(out),
+                                wire: None,
+                            }
                         })
                     }
+                };
+                if let Some(shuffle) = self.shuffle {
+                    let res =
+                        run_shuffled_session(values, &cfg, &shuffle, self.ledger, transport, rng);
+                    return finish_via(res, transport).map(|(out, wire)| RoundOutcome {
+                        detail: RoundDetail::Shuffled(out),
+                        wire,
+                    });
                 }
+                let res = run_session(values, &cfg, self.batched, self.ledger, transport, rng);
+                finish_via(res, transport).map(|(out, wire)| RoundOutcome {
+                    detail: RoundDetail::Flat(out),
+                    wire,
+                })
             }
             (Mode::Adaptive(cfg), Topology::Single) => {
                 let mut default_rng = StdRng::seed_from_u64(seed);
@@ -670,7 +616,15 @@ mod tests {
         let vs = values(4_000, 64);
         let cfg = config(6);
         let mut ta = InMemoryTransport::new(9);
-        let direct = run_session(&vs, &cfg, None, &mut ta, &mut StdRng::seed_from_u64(3)).unwrap();
+        let direct = run_session(
+            &vs,
+            &cfg,
+            None,
+            None,
+            &mut ta,
+            &mut StdRng::seed_from_u64(3),
+        )
+        .unwrap();
         let mut tb = InMemoryTransport::new(9);
         let out = RoundBuilder::new(cfg)
             .seed(3)

@@ -17,13 +17,30 @@
 //!    │ ◀─────────────────── Publish │   publish
 //! ```
 //!
+//! **One session, two wires.** The wire is a parameter of the session, not
+//! a fork of it. `collect` plans every wave once: pool shuffle,
+//! deficit-weighted refill sampling, wave size and backoff, assignment,
+//! latency draw, collection window. Only the exchange depends on the wire.
+//! The per-client wire carries the Hello/RoundConfig/Report chain drawn
+//! above, with validation, faults, straggler parking and config
+//! compression. The batched wire (`RoundBuilder::batched`) carries one
+//! `ConfigHeader` per wave and one `BatchReport` of bit planes per chunk
+//! of clients. Both close a wave into the same `Contact` records, and
+//! the tally, salvage, publish and degraded-mode verdict are written once.
+//!
 //! **Parity contract.** Estimates are bit-identical to the synchronous
-//! engine (`fednum_fedsim::round::run_round_impl`) under
-//! the same seed: the session consumes the shared RNG in exactly the legacy
+//! engine (`fednum_fedsim::round::run_round_impl`) under the same seed, on
+//! either wire: the session consumes the shared RNG in exactly the legacy
 //! draw order (pool shuffle, per-wave assignment, latency, then per client
 //! dropout and randomized response), while everything transport-level —
 //! event tie-breaks, key material, arrival jitter — is hash-derived and
-//! never touches that stream. The tests pin this contract.
+//! never touches that stream. The tally draws nothing. Plain rounds count
+//! the contacts directly (`direct_tally`, the only tally that sees the
+//! naive server's duplicate copies). Secure rounds aggregate bit planes
+//! rebuilt from the contacts with `run_secure_aggregation_planes`: under
+//! Bonawitz masking the server learns exactly Σxᵢ, so a masked popcount is
+//! the whole secure tally, here and in the sync engine alike. The tests
+//! pin this contract.
 //!
 //! On top of the legacy semantics, the session meters traffic: every frame
 //! is tallied per phase and direction at delivery into
@@ -38,7 +55,7 @@ use fednum_core::protocol::basic::BasicBitPushing;
 use fednum_core::sampling::BitSampling;
 use fednum_core::wire::{BatchReportMessage, ReportMessage};
 use fednum_secagg::protocol::{
-    run_secure_aggregation, run_secure_aggregation_planes, DropoutPlan, SecAggConfig, SecAggError,
+    run_secure_aggregation_planes, DropoutPlan, SecAggConfig, SecAggError,
 };
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -114,6 +131,24 @@ pub(crate) struct CollectState {
     pub(crate) parked: Vec<ParkedReport>,
 }
 
+impl CollectState {
+    fn new(bits: u32, clock: f64) -> Self {
+        Self {
+            contacts: Vec::new(),
+            counts: vec![0; bits as usize],
+            completion_time: 0.0,
+            backoff_time: 0.0,
+            waves_used: 0,
+            rejections: RejectionCounts::default(),
+            faults_injected: 0,
+            traffic: TrafficStats::new(),
+            clock,
+            late_frames: 0,
+            parked: Vec::new(),
+        }
+    }
+}
+
 /// What the secure-aggregation tally stage produced.
 pub(crate) struct TallyOutput {
     pub(crate) ones: Vec<u64>,
@@ -123,17 +158,17 @@ pub(crate) struct TallyOutput {
 }
 
 /// The secure-aggregation tally stage over an already-collected cohort:
-/// builds the one-hot `[ones | counts]` vectors, frames the four protocol
-/// message rounds through the transport, runs the aggregation, and retries
-/// with an exponentially backed-off, shrunken cohort on
-/// `TooFewSurvivors` — exactly the flat session's loop, parameterized on
-/// `session_base` so each instance of a hierarchy derives its own retry
-/// session sequence.
+/// frames the four protocol message rounds through the transport,
+/// aggregates the attempt's bit planes with
+/// [`run_secure_aggregation_planes`] (masked `count_ones`, no randomness),
+/// and retries with an exponentially backed-off, shrunken cohort on
+/// `TooFewSurvivors`. The one retry loop behind the flat session, salvage
+/// and every hierarchical shard; `session_base` gives each instance its
+/// own retry session sequence.
 ///
 /// # Errors
 /// See [`FedError`]; `TooFewSurvivors` after the last permitted retry
 /// surfaces as [`FedError::SecAgg`].
-#[allow(clippy::too_many_arguments, clippy::too_many_lines)]
 pub(crate) fn secagg_tally(
     st: &mut CollectState,
     config: &FederatedMeanConfig,
@@ -142,7 +177,6 @@ pub(crate) fn secagg_tally(
     round_id: u64,
     mut ledger: Option<&mut PrivacyLedger>,
     transport: &mut dyn Transport,
-    rng: &mut dyn Rng,
 ) -> Result<TallyOutput, FedError> {
     let bits = config.protocol.codec.bits();
     let epsilon = config
@@ -156,26 +190,14 @@ pub(crate) fn secagg_tally(
     loop {
         let n = cohort.len();
         let threshold = ((settings.threshold_fraction * n as f64).ceil() as usize).clamp(1, n);
-        let mut inputs = Vec::with_capacity(n);
         let mut plan = DropoutPlan::none();
-        let mut eff = vec![0u64; bits as usize];
         for (i, &ci) in cohort.iter().enumerate() {
             let c = &st.contacts[ci];
-            let mut v = vec![0u64; vector_len];
-            match c.report {
-                Some(sent) => {
-                    v[c.bit as usize] = u64::from(sent);
-                    v[bits as usize + c.bit as usize] = 1;
-                    eff[c.bit as usize] += 1;
-                    if c.fate == Fate::DropsAfterReport {
-                        plan.after_masking.insert(i);
-                    }
-                }
-                None => {
-                    plan.before_masking.insert(i);
-                }
+            if c.report.is_none() {
+                plan.before_masking.insert(i);
+            } else if c.fate == Fate::DropsAfterReport {
+                plan.after_masking.insert(i);
             }
-            inputs.push(v);
         }
         let session = session_base ^ u64::from(secagg_retries).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         // The key-exchange / masking / unmask message rounds for
@@ -204,13 +226,13 @@ pub(crate) fn secagg_tally(
         if let Some(k) = settings.neighbors {
             sa_config = sa_config.with_neighbors(k);
         }
-        match run_secure_aggregation(&sa_config, &inputs, &plan, rng) {
+        let planes = planes_for_cohort(&st.contacts, &cohort, bits);
+        match run_secure_aggregation_planes(&sa_config, &planes, &plan) {
             Ok(out) => {
-                debug_assert_eq!(&out.sum[bits as usize..], eff.as_slice());
-                let ones: Vec<u64> = out.sum[..bits as usize].to_vec();
+                let (ones, eff_counts) = out.sum.split_at(bits as usize);
                 return Ok(TallyOutput {
-                    ones,
-                    eff_counts: eff,
+                    ones: ones.to_vec(),
+                    eff_counts: eff_counts.to_vec(),
                     summary: SecAggSummary {
                         contributors: out.contributors.len(),
                         recovered_pairwise: out.pairwise_masks_reconstructed,
@@ -249,9 +271,9 @@ pub(crate) fn secagg_tally(
     }
 }
 
-/// Rebuilds the bit planes for a (possibly shrunken) cohort from its
-/// contact records, preserving cohort order so [`DropoutPlan`] indices and
-/// plane slots agree.
+/// Builds the bit planes for a (possibly shrunken) cohort from its contact
+/// records, preserving cohort order so [`DropoutPlan`] indices and plane
+/// slots agree.
 fn planes_for_cohort(contacts: &[Contact], cohort: &[usize], bits: u32) -> BitPlanes {
     let mut planes = BitPlanes::new(bits, cohort.len());
     for (i, &ci) in cohort.iter().enumerate() {
@@ -261,138 +283,6 @@ fn planes_for_cohort(contacts: &[Contact], cohort: &[usize], bits: u32) -> BitPl
         }
     }
     planes
-}
-
-/// The secure-aggregation tally stage over bit planes: same retry loop,
-/// session derivation, backoff, cohort shrinking, and attempt traffic as
-/// [`secagg_tally`], but the per-attempt aggregate is computed by
-/// [`run_secure_aggregation_planes`] — masked `count_ones` over the packed
-/// planes instead of field arithmetic over per-client one-hot vectors.
-///
-/// Takes no RNG: the plane aggregator derives nothing random, and in every
-/// shape the batched path supports, no later stage reads the session RNG,
-/// so estimates stay bit-identical to the share-based path per seed.
-///
-/// # Errors
-/// See [`FedError`]; `TooFewSurvivors` after the last permitted retry
-/// surfaces as [`FedError::SecAgg`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn secagg_tally_planes(
-    st: &mut CollectState,
-    planes: &BitPlanes,
-    config: &FederatedMeanConfig,
-    settings: &SecAggSettings,
-    session_base: u64,
-    round_id: u64,
-    mut ledger: Option<&mut PrivacyLedger>,
-    transport: &mut dyn Transport,
-) -> Result<TallyOutput, FedError> {
-    let bits = config.protocol.codec.bits();
-    let epsilon = config
-        .protocol
-        .privacy
-        .as_ref()
-        .map_or(0.0, RandomizedResponse::epsilon);
-    let vector_len = 2 * bits as usize;
-    let mut secagg_retries = 0u32;
-    let mut cohort: Vec<usize> = (0..st.contacts.len()).collect();
-    loop {
-        let n = cohort.len();
-        let threshold = ((settings.threshold_fraction * n as f64).ceil() as usize).clamp(1, n);
-        let mut plan = DropoutPlan::none();
-        let mut eff = vec![0u64; bits as usize];
-        for (i, &ci) in cohort.iter().enumerate() {
-            let c = &st.contacts[ci];
-            match c.report {
-                Some(_) => {
-                    eff[c.bit as usize] += 1;
-                    if c.fate == Fate::DropsAfterReport {
-                        plan.after_masking.insert(i);
-                    }
-                }
-                None => {
-                    plan.before_masking.insert(i);
-                }
-            }
-        }
-        // The cohort only ever shrinks from the full contact list, so a
-        // length match means identity: the round planes serve as-is.
-        let rebuilt;
-        let attempt_planes = if cohort.len() == planes.slots() {
-            planes
-        } else {
-            rebuilt = planes_for_cohort(&st.contacts, &cohort, bits);
-            &rebuilt
-        };
-        let session = session_base ^ u64::from(secagg_retries).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let members: Vec<u64> = cohort
-            .iter()
-            .map(|&ci| st.contacts[ci].client as u64)
-            .collect();
-        let degree = settings
-            .neighbors
-            .unwrap_or(n.saturating_sub(1))
-            .clamp(1, n.max(2) - 1);
-        secagg_attempt_messages(
-            transport,
-            &mut st.traffic,
-            &members,
-            &plan,
-            vector_len,
-            degree,
-            session,
-            round_id,
-            st.clock,
-        );
-        st.clock += 1.0;
-        let mut sa_config = SecAggConfig::new(n, threshold, vector_len, session);
-        if let Some(k) = settings.neighbors {
-            sa_config = sa_config.with_neighbors(k);
-        }
-        match run_secure_aggregation_planes(&sa_config, attempt_planes, &plan) {
-            Ok(out) => {
-                debug_assert_eq!(&out.sum[bits as usize..], eff.as_slice());
-                let ones: Vec<u64> = out.sum[..bits as usize].to_vec();
-                let eff_counts: Vec<u64> = out.sum[bits as usize..].to_vec();
-                return Ok(TallyOutput {
-                    ones,
-                    eff_counts,
-                    summary: SecAggSummary {
-                        contributors: out.contributors.len(),
-                        recovered_pairwise: out.pairwise_masks_reconstructed,
-                    },
-                    retries: secagg_retries,
-                });
-            }
-            Err(e @ SecAggError::TooFewSurvivors { .. }) => {
-                if secagg_retries >= config.retry.max_secagg_retries {
-                    return Err(e.into());
-                }
-                let pause = config.retry.backoff(secagg_retries);
-                secagg_retries += 1;
-                st.backoff_time += pause;
-                st.completion_time += pause;
-                cohort.retain(|&ci| {
-                    st.contacts[ci].fate == Fate::Responds && st.contacts[ci].report.is_some()
-                });
-                if cohort.len() < config.retry.min_cohort {
-                    return Err(FedError::CohortTooSmall {
-                        survivors: cohort.len(),
-                        minimum: config.retry.min_cohort,
-                    });
-                }
-                if cohort.is_empty() {
-                    return Err(FedError::NoReports);
-                }
-                if let Some(ledger) = ledger.as_deref_mut() {
-                    for &ci in &cohort {
-                        ledger.charge_round(st.contacts[ci].client as u64, round_id, 1, epsilon)?;
-                    }
-                }
-            }
-            Err(e) => return Err(e.into()),
-        }
-    }
 }
 
 /// What a salvage session contributed to the round's tallies. On every
@@ -429,10 +319,9 @@ impl SalvageResult {
 /// have published. Parked frames were metered and privacy-charged at
 /// original arrival; re-admission re-bills neither (the ledger re-charge
 /// below is an idempotent no-op that only guards against external ledger
-/// mutation). RNG discipline: every draw here happens strictly after all
-/// base-round draws, so salvage-off runs stay bit-identical to
-/// single-session rounds.
-#[allow(clippy::too_many_arguments, clippy::too_many_lines)]
+/// mutation). Draws no randomness, so salvage-on and salvage-off runs
+/// leave the session RNG at the same position.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_salvage(
     st: &mut CollectState,
     config: &FederatedMeanConfig,
@@ -443,7 +332,6 @@ pub(crate) fn run_salvage(
     client_offset: u64,
     mut ledger: Option<&mut PrivacyLedger>,
     transport: &mut dyn Transport,
-    rng: &mut dyn Rng,
 ) -> SalvageResult {
     let bits = config.protocol.codec.bits();
     if st.parked.len() < policy.min_parked {
@@ -485,8 +373,8 @@ pub(crate) fn run_salvage(
         .map(|p| (p.client, p.assigned_bit))
         .collect();
     let mut validator = ReportValidator::for_round(bits, &assigned, round_id);
-    let mut salvaged: Vec<Contact> = Vec::new();
-    let mut counts = vec![0u64; bits as usize];
+    let mut salvaged = CollectState::new(bits, window);
+    salvaged.waves_used = 1;
     while let Some((at, env)) = slot.poll() {
         if at > window {
             // Missed even the salvage window: the final discard.
@@ -512,14 +400,14 @@ pub(crate) fn run_salvage(
         {
             continue;
         }
-        salvaged.push(Contact {
+        salvaged.contacts.push(Contact {
             client: (env.from - client_offset) as usize,
             bit: d_bit,
             report: Some(d_value),
             fate: Fate::Responds,
             copies: 1,
         });
-        counts[d_bit as usize] += 1;
+        salvaged.counts[d_bit as usize] += 1;
     }
     st.completion_time += window;
 
@@ -528,12 +416,12 @@ pub(crate) fn run_salvage(
     // re-admitted members. Direct mode has no such floor — validated
     // direct reports are individually visible by construction.
     let floor = if settings.is_some() { 2 } else { 1 };
-    if salvaged.len() < floor {
+    if salvaged.contacts.len() < floor {
         st.clock = engine.watermark();
         return SalvageResult::empty(SalvageOutcome::SalvageAborted, bits);
     }
     if let Some(ledger) = ledger.as_deref_mut() {
-        for c in &salvaged {
+        for c in &salvaged.contacts {
             if ledger
                 .charge_round(client_offset + c.client as u64, round_id, 1, epsilon)
                 .is_err()
@@ -544,7 +432,7 @@ pub(crate) fn run_salvage(
         }
     }
 
-    let reports: u64 = counts.iter().sum();
+    let reports: u64 = salvaged.counts.iter().sum();
     match settings {
         Some(settings) => {
             // Clamp the mask-graph degree to the (small) salvaged cohort
@@ -552,38 +440,25 @@ pub(crate) fn run_salvage(
             // budget; min_cohort drops to the privacy floor.
             let mut salvage_settings = *settings;
             if let Some(k) = settings.neighbors {
-                salvage_settings.neighbors = Some(k.clamp(1, salvaged.len() - 1));
+                salvage_settings.neighbors = Some(k.clamp(1, salvaged.contacts.len() - 1));
             }
             let mut salvage_config = config.clone();
             salvage_config.retry.max_secagg_retries = policy.max_attempts;
             salvage_config.retry.min_cohort = floor;
-            let mut st2 = CollectState {
-                contacts: salvaged,
-                counts: counts.clone(),
-                completion_time: 0.0,
-                backoff_time: 0.0,
-                waves_used: 1,
-                rejections: RejectionCounts::default(),
-                faults_injected: 0,
-                traffic: TrafficStats::new(),
-                clock: window,
-                late_frames: 0,
-                parked: Vec::new(),
-            };
             let tally = secagg_tally(
-                &mut st2,
+                &mut salvaged,
                 &salvage_config,
                 &salvage_settings,
                 session_base,
                 round_id,
                 ledger,
                 &mut slot,
-                rng,
             );
             st.clock = engine.watermark();
-            st.traffic.absorb_as(&st2.traffic, TrafficPhase::Salvage);
-            st.completion_time += st2.completion_time;
-            st.backoff_time += st2.backoff_time;
+            st.traffic
+                .absorb_as(&salvaged.traffic, TrafficPhase::Salvage);
+            st.completion_time += salvaged.completion_time;
+            st.backoff_time += salvaged.backoff_time;
             match tally {
                 Ok(t) => SalvageResult {
                     outcome: SalvageOutcome::Salvaged { reports },
@@ -595,74 +470,34 @@ pub(crate) fn run_salvage(
             }
         }
         None => {
-            let ones = direct_tally(&salvaged, bits);
             st.clock = engine.watermark();
             SalvageResult {
                 outcome: SalvageOutcome::Salvaged { reports },
-                ones,
-                counts,
+                ones: direct_tally(&salvaged.contacts, bits),
+                counts: salvaged.counts,
                 reports,
             }
         }
     }
 }
 
-/// Runs a complete federated mean-estimation session over the given
-/// transport. Same semantics (and, seed for seed, the same estimate) as
-/// the synchronous engine (`fednum_fedsim::round::run_round_impl`), plus
-/// per-phase traffic accounting in the returned
-/// `FederatedOutcome::robustness.traffic`.
-///
-/// Pass [`SimNetTransport::for_config`](crate::net::SimNetTransport) when
-/// `config.faults` is set — the wire-level fault kinds (straggle, corrupt,
-/// duplicate, replay) are transport behaviour; an
-/// [`InMemoryTransport`](crate::net::InMemoryTransport) would not act
-/// them out.
+/// Runs a complete federated mean-estimation session over `transport`,
+/// per-client wire or batched (`batched = Some(chunk)`). Same semantics
+/// (and, seed for seed, the same estimate) as the synchronous engine
+/// (`fednum_fedsim::round::run_round_impl`), plus per-phase traffic
+/// accounting in `FederatedOutcome::robustness.traffic`.
 ///
 /// # Errors
 /// See [`FedError`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use `fednum::transport::RoundBuilder::new(config).via(transport).run(values)`"
-)]
-pub fn run_federated_mean_transport(
-    values: &[f64],
-    config: &FederatedMeanConfig,
-    transport: &mut dyn Transport,
-    rng: &mut dyn Rng,
-) -> Result<FederatedOutcome, FedError> {
-    run_session(values, config, None, transport, rng)
-}
-
-/// As [`run_federated_mean_transport`], metering each client's disclosure
-/// through the ledger exactly as the synchronous engine does with a ledger
-/// attached.
-///
-/// # Errors
-/// See [`FedError`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use `fednum::transport::RoundBuilder::new(config).metered(ledger)\
-            .via(transport).run(values)`"
-)]
-pub fn run_federated_mean_transport_metered(
-    values: &[f64],
-    config: &FederatedMeanConfig,
-    ledger: &mut PrivacyLedger,
-    transport: &mut dyn Transport,
-    rng: &mut dyn Rng,
-) -> Result<FederatedOutcome, FedError> {
-    run_session(values, config, Some(ledger), transport, rng)
-}
-
 pub(crate) fn run_session(
     values: &[f64],
     config: &FederatedMeanConfig,
+    batched: Option<usize>,
     ledger: Option<&mut PrivacyLedger>,
     transport: &mut dyn Transport,
     rng: &mut dyn Rng,
 ) -> Result<FederatedOutcome, FedError> {
-    run_session_inner(values, config, ledger, transport, rng, false).map(|(out, _)| out)
+    run_session_inner(values, config, batched, ledger, transport, rng, false).map(|(out, _)| out)
 }
 
 /// The full session body. `with_feedback` embeds the round's per-bit means
@@ -673,6 +508,7 @@ pub(crate) fn run_session(
 pub(crate) fn run_session_inner(
     values: &[f64],
     config: &FederatedMeanConfig,
+    batched: Option<usize>,
     mut ledger: Option<&mut PrivacyLedger>,
     transport: &mut dyn Transport,
     rng: &mut dyn Rng,
@@ -686,7 +522,15 @@ pub(crate) fn run_session_inner(
     let (codes, clip_fraction) = codec.encode_all(values);
     let round_id = config.session_seed;
 
-    let mut st = collect_waves(&codes, config, 0, ledger.as_deref_mut(), transport, rng)?;
+    let mut st = collect(
+        &codes,
+        config,
+        batched,
+        0,
+        ledger.as_deref_mut(),
+        transport,
+        rng,
+    )?;
 
     let mut total_reports: u64 = st.counts.iter().sum();
     if total_reports == 0 {
@@ -713,7 +557,6 @@ pub(crate) fn run_session_inner(
                 round_id,
                 ledger.as_deref_mut(),
                 transport,
-                rng,
             )?;
             secagg_retries = tally.retries;
             (tally.ones, tally.eff_counts, Some(tally.summary))
@@ -737,7 +580,6 @@ pub(crate) fn run_session_inner(
                 0,
                 ledger,
                 transport,
-                rng,
             );
             if matches!(res.outcome, SalvageOutcome::Salvaged { .. }) {
                 for j in 0..bits as usize {
@@ -821,202 +663,109 @@ pub(crate) fn run_session_inner(
     ))
 }
 
-/// The batched session body: collect over the chunked multi-client wire,
-/// tally by plane popcounts (masked through secure aggregation when
-/// configured), publish. Bit-identical, seed for seed, to [`run_session`]
-/// in every shape the batched wire supports — the builder rejects the rest
-/// (faults, salvage, shuffling, adaptive) up front.
-///
-/// # Errors
-/// See [`FedError`].
-pub(crate) fn run_session_batched(
-    values: &[f64],
-    config: &FederatedMeanConfig,
-    chunk: usize,
-    mut ledger: Option<&mut PrivacyLedger>,
-    transport: &mut dyn Transport,
-    rng: &mut dyn Rng,
-) -> Result<FederatedOutcome, FedError> {
-    if values.is_empty() {
-        return Err(FedError::PopulationTooSmall { got: 0, need: 1 });
-    }
-    let codec = config.protocol.codec;
-    let (codes, clip_fraction) = codec.encode_all(values);
-    let round_id = config.session_seed;
-
-    let (mut st, planes) = collect_batched(
-        &codes,
-        config,
-        chunk,
-        0,
-        ledger.as_deref_mut(),
-        transport,
-        rng,
-    )?;
-
-    let total_reports: u64 = st.counts.iter().sum();
-    if total_reports == 0 {
-        return Err(FedError::NoReports);
-    }
-    let reporters = st.contacts.iter().filter(|c| c.report.is_some()).count();
-    if reporters < config.retry.min_cohort {
-        return Err(FedError::CohortTooSmall {
-            survivors: reporters,
-            minimum: config.retry.min_cohort,
-        });
-    }
-
-    // Tally stage: per-bit (ones, counts) straight off the packed planes —
-    // one `count_ones` per 64 clients — directly or through the
-    // secure-aggregation message rounds.
-    let mut secagg_retries = 0u32;
-    let (ones, eff_counts, secagg_summary) = match &config.secagg {
-        Some(settings) => {
-            let tally = secagg_tally_planes(
-                &mut st,
-                &planes,
-                config,
-                settings,
-                config.session_seed,
-                round_id,
-                ledger,
-                transport,
-            )?;
-            secagg_retries = tally.retries;
-            (tally.ones, tally.eff_counts, Some(tally.summary))
-        }
-        None => (planes.ones(), planes.counts(), None),
-    };
-
-    let acc = BitAccumulator::from_parts(
-        debias_sums(&ones, &eff_counts, config.protocol.privacy.as_ref()),
-        eff_counts.clone(),
-    );
-    let outcome = BasicBitPushing::new(config.protocol.clone()).finish(acc, clip_fraction);
-
-    let publish = Message::Publish(Publish {
-        round_id,
-        estimate: outcome.estimate,
-        reports: total_reports,
-        feedback: Vec::new(),
-    });
-    transport.send(Envelope {
-        from: COORDINATOR,
-        to: 0,
-        sent_at: st.clock,
-        payload: publish.encode(),
-    });
-    drain_counting(transport, &mut st.traffic);
-
-    let base_probs = config.protocol.sampling.probs();
-    let starved_bits: Vec<u32> = base_probs
-        .iter()
-        .zip(&eff_counts)
-        .enumerate()
-        .filter(|(_, (&p, &c))| p > 0.0 && c < config.min_reports_per_bit)
-        .map(|(j, _)| j as u32)
-        .collect();
-
-    let degraded = if !starved_bits.is_empty() {
-        DegradedMode::Partial
-    } else if secagg_retries > 0 {
-        DegradedMode::Retried
-    } else if st.waves_used > 1 {
-        DegradedMode::Refilled
-    } else {
-        DegradedMode::Clean
-    };
-
-    Ok(FederatedOutcome {
-        outcome,
-        contacted: st.contacts.len(),
-        reports: total_reports,
-        waves_used: st.waves_used,
-        completion_time: st.completion_time,
-        starved_bits,
-        secagg: secagg_summary,
-        robustness: RobustnessReport {
-            degraded,
-            rejections: st.rejections,
-            late_frames: st.late_frames,
-            salvage: None,
-            secagg_retries,
-            faults_injected: st.faults_injected,
-            backoff_time: st.backoff_time,
-            traffic: st.traffic,
-        },
-    })
+/// One wave's plan, shared by both wire exchanges.
+struct Wave {
+    /// Contacted clients (local population indices), in slot order.
+    batch: Vec<usize>,
+    /// Assigned bit per slot.
+    assignment: Vec<u32>,
+    /// Collection window `[t0, deadline]` in virtual time.
+    t0: f64,
+    deadline: f64,
+    /// The secagg threshold and vector length advertised in the config.
+    threshold_hint: u64,
+    vector_hint: u64,
 }
 
-/// The collect phase: contacts the cohort in waves over the transport —
-/// Hello uplink, RoundConfig downlink, Report uplink per client — applying
-/// the dropout model, client-phase faults, validation, and deficit-weighted
-/// refills exactly as the legacy orchestrator does, in the same RNG draw
-/// order.
+/// What reached the server for one wave slot: the accepted report and how
+/// many copies of it arrived (`copies == 0`: nothing), plus the client
+/// model's dropout fate.
+#[derive(Clone, Copy)]
+struct Delivery {
+    bit: u32,
+    value: bool,
+    copies: u64,
+    fate: Fate,
+}
+
+/// The run-wide context of one collect phase.
+struct Collector<'c> {
+    codes: &'c [u64],
+    config: &'c FederatedMeanConfig,
+    client_offset: u64,
+    epsilon: f64,
+    ledger: Option<&'c mut PrivacyLedger>,
+    transport: &'c mut dyn Transport,
+    rng: &'c mut dyn Rng,
+    st: CollectState,
+}
+
+/// The collect phase: contacts the cohort in waves over the transport,
+/// applying the dropout model, client-phase faults, validation, and
+/// deficit-weighted refills exactly as the legacy orchestrator does, in the
+/// same RNG draw order. The wave plan is written once; `batched` picks only
+/// the exchange — a Hello/RoundConfig/Report chain per client (`None`) or
+/// one `BatchReport` frame per chunk of `chunk` clients (`Some(chunk)`).
 ///
 /// `client_offset` shifts local population indices into global client
 /// identity space (nonzero under sharding), so fault plans and privacy
 /// ledgers see fleet-wide client ids.
-#[allow(clippy::too_many_lines)]
-pub(crate) fn collect_waves(
+///
+/// # Errors
+/// See [`FedError`].
+pub(crate) fn collect(
     codes: &[u64],
     config: &FederatedMeanConfig,
+    batched: Option<usize>,
     client_offset: u64,
-    mut ledger: Option<&mut PrivacyLedger>,
+    ledger: Option<&mut PrivacyLedger>,
     transport: &mut dyn Transport,
     rng: &mut dyn Rng,
 ) -> Result<CollectState, FedError> {
+    debug_assert!(
+        batched.is_none() || (config.faults.is_none() && config.salvage.is_none()),
+        "builder rejects faults and salvage on the batched wire"
+    );
     let bits = config.protocol.codec.bits();
-    let round_id = config.session_seed;
-    let epsilon = config
-        .protocol
-        .privacy
-        .as_ref()
-        .map_or(0.0, RandomizedResponse::epsilon);
-    let secagg_on = config.secagg.is_some();
-    let compress = config.compress_config;
+    let mut cx = Collector {
+        codes,
+        config,
+        client_offset,
+        epsilon: config
+            .protocol
+            .privacy
+            .as_ref()
+            .map_or(0.0, RandomizedResponse::epsilon),
+        ledger,
+        transport,
+        rng,
+        st: CollectState::new(bits, 0.0),
+    };
     // Net downlink bytes the compressed config codec avoids: banked per
     // delivered AssignBit delta, debited per broadcast header.
     let mut saved: i64 = 0;
-
-    // Uncontacted-client pool, randomly ordered (first legacy RNG draw).
-    let mut pool: Vec<usize> = (0..codes.len()).collect();
-    pool.shuffle(rng);
-
-    let base_probs = config.protocol.sampling.probs().to_vec();
-    let mut counts = vec![0u64; bits as usize];
-    let mut contacts: Vec<Contact> = Vec::new();
-    let mut completion_time = 0.0;
-    let mut backoff_time = 0.0;
-    let mut waves_used = 0;
-    let mut rejections = RejectionCounts::default();
-    let mut faults_injected: u64 = 0;
-    let mut traffic = TrafficStats::new();
-    let mut late_frames: u64 = 0;
-    let mut parked: Vec<ParkedReport> = Vec::new();
-    // Late frames are parked only when a salvage policy may re-admit them;
-    // without one the buffer stays empty and the path is cost-free.
-    let salvage_cap = if config.validate {
-        config.salvage.as_ref().map_or(0, |p| p.buffer_cap)
-    } else {
-        0
-    };
     // Collection-window length in virtual time; the deadline stragglers
     // miss. Matches the latency model's timeout when one is configured.
     let window_len = config.latency.as_ref().map_or(1.0, |l| l.timeout);
     // client → (slot in current wave) + 1; 0 = not contacted this wave.
-    let mut wave_slot = vec![0u32; codes.len()];
+    let mut wave_slot = vec![0u32; if batched.is_some() { 0 } else { codes.len() }];
 
+    // Uncontacted-client pool, randomly ordered (first legacy RNG draw).
+    let mut pool: Vec<usize> = (0..codes.len()).collect();
+    pool.shuffle(cx.rng);
+
+    let base_probs = config.protocol.sampling.probs().to_vec();
     for wave in 0..config.max_waves {
         if pool.is_empty() {
             break;
         }
+        let counts = &cx.st.counts;
         let sampling = if wave == 0 {
             config.protocol.sampling.clone()
         } else {
             let deficits: Vec<f64> = base_probs
                 .iter()
-                .zip(&counts)
+                .zip(counts)
                 .map(|(&p, &c)| {
                     if p > 0.0 && c < config.min_reports_per_bit {
                         (config.min_reports_per_bit - c) as f64
@@ -1036,7 +785,7 @@ pub(crate) fn collect_waves(
         } else {
             let deficit_total: u64 = base_probs
                 .iter()
-                .zip(&counts)
+                .zip(counts)
                 .filter(|(&p, &c)| p > 0.0 && c < config.min_reports_per_bit)
                 .map(|(_, &c)| config.min_reports_per_bit - c)
                 .sum();
@@ -1046,99 +795,200 @@ pub(crate) fn collect_waves(
         };
         if wave > 0 {
             let pause = config.retry.backoff(wave - 1);
-            backoff_time += pause;
-            completion_time += pause;
+            cx.st.backoff_time += pause;
+            cx.st.completion_time += pause;
         }
-        waves_used = wave + 1;
+        cx.st.waves_used = wave + 1;
 
         let batch: Vec<usize> = pool.drain(..wave_size).collect();
-        let assignment = sampling.assign(config.protocol.assignment, batch.len(), rng);
+        let assignment = sampling.assign(config.protocol.assignment, batch.len(), cx.rng);
         let mut wave_time = match &config.latency {
-            Some(lat) => lat.simulate_round(batch.len(), 0.9, rng).completion_time,
+            Some(lat) => lat.simulate_round(batch.len(), 0.9, cx.rng).completion_time,
             None => 0.0,
-        };
-        let mut validator = if config.validate && config.faults.is_some() {
-            let assigned: Vec<(u64, u32)> = batch
-                .iter()
-                .zip(&assignment)
-                .map(|(&c, &j)| (client_offset + c as u64, j))
-                .collect();
-            Some(ReportValidator::for_round(bits, &assigned, round_id))
-        } else {
-            None
         };
 
         // The wave's collection window in virtual time.
         let t0 = 2.0 * window_len * f64::from(wave);
         let deadline = t0 + window_len;
-        transport.open_window(t0, deadline);
-        for (slot, &client) in batch.iter().enumerate() {
-            wave_slot[client] = slot as u32 + 1;
-        }
+        cx.transport.open_window(t0, deadline);
         let threshold_hint = config.secagg.map_or(0, |s| {
             ((s.threshold_fraction * batch.len() as f64).ceil() as u64).clamp(1, batch.len() as u64)
         });
-        let vector_hint = if secagg_on { 2 * u64::from(bits) } else { 0 };
+        let w = Wave {
+            batch,
+            assignment,
+            t0,
+            deadline,
+            threshold_hint,
+            vector_hint: if config.secagg.is_some() {
+                2 * u64::from(bits)
+            } else {
+                0
+            },
+        };
+
+        let mut delivered = vec![
+            Delivery {
+                bit: 0,
+                value: false,
+                copies: 0,
+                fate: Fate::DropsBeforeReport,
+            };
+            w.batch.len()
+        ];
+        let stragglers = match batched {
+            Some(chunk) => {
+                cx.exchange_batched(&w, chunk, &mut delivered)?;
+                0
+            }
+            None => cx.exchange_per_client(&w, &mut wave_slot, &mut saved, &mut delivered)?,
+        };
+
+        if let Some(lat) = &config.latency {
+            if stragglers > 0 {
+                wave_time = wave_time.max(lat.timeout);
+            }
+        }
+        cx.st.late_frames += stragglers;
+        cx.st.completion_time += wave_time;
+
+        // Close the wave in batch (contact) order, as the synchronous
+        // orchestrator records it: anything that produced no accepted
+        // delivery — vanished client, enforced deadline, lost chunk,
+        // rejected-everything transport — is one uniform "nothing
+        // arrived" record.
+        for ((&client, &j), d) in w.batch.iter().zip(&w.assignment).zip(&delivered) {
+            let contact = if d.copies > 0 {
+                cx.st.counts[d.bit as usize] += d.copies;
+                Contact {
+                    client,
+                    bit: d.bit,
+                    report: Some(d.value),
+                    fate: d.fate,
+                    copies: d.copies,
+                }
+            } else {
+                Contact {
+                    client,
+                    bit: j,
+                    report: None,
+                    fate: Fate::DropsBeforeReport,
+                    copies: 0,
+                }
+            };
+            cx.st.contacts.push(contact);
+        }
+    }
+
+    if saved > 0 {
+        cx.st.traffic.credit_config_savings(saved as u64);
+    }
+    cx.st.clock = 2.0 * window_len * f64::from(cx.st.waves_used);
+    Ok(cx.st)
+}
+
+impl Collector<'_> {
+    /// The per-client wire: Hello uplink, RoundConfig (or compressed
+    /// AssignBit) downlink and Report uplink per client, unrolled event by
+    /// event. Validates reports, acts out client-phase faults, and parks
+    /// post-deadline frames for salvage. Returns the wave's straggler
+    /// count.
+    #[allow(clippy::too_many_lines)]
+    fn exchange_per_client(
+        &mut self,
+        w: &Wave,
+        wave_slot: &mut [u32],
+        saved: &mut i64,
+        delivered: &mut [Delivery],
+    ) -> Result<u64, FedError> {
+        let config = self.config;
+        let bits = config.protocol.codec.bits();
+        let round_id = config.session_seed;
+        let secagg_on = config.secagg.is_some();
+        let compress = config.compress_config;
+        let offset = self.client_offset;
+        // Late frames are parked only when a salvage policy may re-admit
+        // them; without one the buffer stays empty and the path is
+        // cost-free.
+        let salvage_cap = if config.validate {
+            config.salvage.as_ref().map_or(0, |p| p.buffer_cap)
+        } else {
+            0
+        };
+        let mut validator = if config.validate && config.faults.is_some() {
+            let assigned: Vec<(u64, u32)> = w
+                .batch
+                .iter()
+                .zip(&w.assignment)
+                .map(|(&c, &j)| (offset + c as u64, j))
+                .collect();
+            Some(ReportValidator::for_round(bits, &assigned, round_id))
+        } else {
+            None
+        };
+        for (slot, &client) in w.batch.iter().enumerate() {
+            wave_slot[client] = slot as u32 + 1;
+        }
+        let full_config = |assigned_bit| {
+            Message::RoundConfig(RoundConfig {
+                round_id,
+                assigned_bit,
+                secagg: secagg_on,
+                threshold: w.threshold_hint,
+                vector_len: w.vector_hint,
+            })
+        };
         if compress {
             // One shared header for the whole wave; Hellos are answered
             // with a 2-byte AssignBit delta instead of a full RoundConfig.
-            transport.send(Envelope {
+            self.transport.send(Envelope {
                 from: COORDINATOR,
                 to: BROADCAST,
-                sent_at: t0,
+                sent_at: w.t0,
                 payload: Message::ConfigHeader(ConfigHeader {
                     round_id,
                     secagg: secagg_on,
-                    threshold: threshold_hint,
-                    vector_len: vector_hint,
+                    threshold: w.threshold_hint,
+                    vector_len: w.vector_hint,
                 })
                 .encode(),
             });
         }
-        // Per-slot client-model fate and staged delivery (bit, value, copies).
-        let mut slot_fate = vec![Fate::DropsBeforeReport; batch.len()];
-        let mut slot_staged: Vec<(u32, bool, u64)> = vec![(0, false, 0); batch.len()];
-        let mut wave_stragglers = 0u64;
+        let mut stragglers = 0u64;
 
         // Rendezvous: every contacted client checks in; the rest of the
         // wave unrolls event by event.
-        for (k, &client) in batch.iter().enumerate() {
-            transport.send(Envelope {
-                from: client_offset + client as u64,
+        for (k, &client) in w.batch.iter().enumerate() {
+            self.transport.send(Envelope {
+                from: offset + client as u64,
                 to: COORDINATOR,
-                sent_at: t0 + k as f64 * STEP,
+                sent_at: w.t0 + k as f64 * STEP,
                 payload: Message::Hello { round_id }.encode(),
             });
         }
 
-        while let Some((at, env)) = transport.poll() {
+        while let Some((at, env)) = self.transport.poll() {
             let Ok(msg) = Message::decode(&env.payload) else {
                 continue;
             };
             let nbytes = env.payload.len() as u64;
             if env.to == COORDINATOR {
-                traffic.record(msg.phase(), Direction::Uplink, nbytes);
+                self.st
+                    .traffic
+                    .record(msg.phase(), Direction::Uplink, nbytes);
+                let local = env.from.wrapping_sub(offset) as usize;
+                let slot = wave_slot.get(local).and_then(|s| s.checked_sub(1));
                 match msg {
                     Message::Hello { .. } => {
                         // Configure: reply with the client's task.
-                        let local = (env.from - client_offset) as usize;
-                        let Some(slot) = wave_slot[local].checked_sub(1) else {
-                            continue;
-                        };
+                        let Some(slot) = slot else { continue };
+                        let assigned_bit = w.assignment[slot as usize] as u8;
                         let rc = if compress {
-                            Message::AssignBit {
-                                assigned_bit: assignment[slot as usize] as u8,
-                            }
+                            Message::AssignBit { assigned_bit }
                         } else {
-                            Message::RoundConfig(RoundConfig {
-                                round_id,
-                                assigned_bit: assignment[slot as usize] as u8,
-                                secagg: secagg_on,
-                                threshold: threshold_hint,
-                                vector_len: vector_hint,
-                            })
+                            full_config(assigned_bit)
                         };
-                        transport.send(Envelope {
+                        self.transport.send(Envelope {
                             from: COORDINATOR,
                             to: env.from,
                             sent_at: at + HOP,
@@ -1146,22 +996,19 @@ pub(crate) fn collect_waves(
                         });
                     }
                     Message::Report(r) => {
-                        if at > deadline {
+                        if at > w.deadline {
                             // Past the wave deadline.
-                            wave_stragglers += 1;
+                            stragglers += 1;
                             if config.validate {
-                                rejections.straggler += 1;
-                                if parked.len() < salvage_cap {
-                                    let local = (env.from - client_offset) as usize;
-                                    if let Some(slot) =
-                                        wave_slot.get(local).and_then(|s| s.checked_sub(1))
-                                    {
-                                        parked.push(ParkedReport {
-                                            client: env.from,
-                                            assigned_bit: assignment[slot as usize],
-                                            payload: env.payload.clone(),
-                                        });
-                                    }
+                                self.st.rejections.straggler += 1;
+                                if let Some(slot) =
+                                    slot.filter(|_| self.st.parked.len() < salvage_cap)
+                                {
+                                    self.st.parked.push(ParkedReport {
+                                        client: env.from,
+                                        assigned_bit: w.assignment[slot as usize],
+                                        payload: env.payload.clone(),
+                                    });
                                 }
                                 continue;
                             }
@@ -1188,26 +1035,24 @@ pub(crate) fn collect_waves(
                                 .is_ok(),
                             None => true,
                         };
-                        if accepted {
-                            let local = (env.from - client_offset) as usize;
-                            let Some(slot) = wave_slot[local].checked_sub(1) else {
-                                continue;
-                            };
-                            let staged = &mut slot_staged[slot as usize];
-                            staged.0 = d_bit;
-                            staged.1 = d_value;
-                            staged.2 += 1;
+                        if let Some(slot) = slot.filter(|_| accepted) {
+                            let d = &mut delivered[slot as usize];
+                            d.bit = d_bit;
+                            d.value = d_value;
+                            d.copies += 1;
                         }
                     }
                     _ => {}
                 }
             } else {
-                traffic.record(msg.phase(), Direction::Downlink, nbytes);
+                self.st
+                    .traffic
+                    .record(msg.phase(), Direction::Downlink, nbytes);
                 if env.to == BROADCAST {
                     // The shared header: metered above, debited against the
                     // per-client delta savings, no client model to run.
                     if matches!(msg, Message::ConfigHeader(_)) {
-                        saved -= nbytes as i64;
+                        *saved -= nbytes as i64;
                     }
                     continue;
                 }
@@ -1216,55 +1061,47 @@ pub(crate) fn collect_waves(
                     Message::AssignBit { assigned_bit } => {
                         // Bank what the full per-client frame would have
                         // cost on the uncompressed codec.
-                        let full = Message::RoundConfig(RoundConfig {
-                            round_id,
-                            assigned_bit,
-                            secagg: secagg_on,
-                            threshold: threshold_hint,
-                            vector_len: vector_hint,
-                        })
-                        .encoded_len() as i64;
-                        saved += full - nbytes as i64;
+                        *saved += full_config(assigned_bit).encoded_len() as i64 - nbytes as i64;
                         assigned_bit
                     }
                     _ => continue,
                 };
                 // The client model: dropout fate, fault, disclosure.
-                let local = (env.to - client_offset) as usize;
+                let local = (env.to - offset) as usize;
                 let Some(slot) = wave_slot[local].checked_sub(1) else {
                     continue;
                 };
                 let j = u32::from(assigned_bit);
-                let mut fate = config.dropout.sample(rng);
+                let mut fate = config.dropout.sample(self.rng);
                 let fault = config
                     .faults
                     .as_ref()
                     .and_then(|p| p.fault_for(round_id, env.to));
-                faults_injected += u64::from(fault.is_some());
+                self.st.faults_injected += u64::from(fault.is_some());
                 if fault == Some(FaultKind::DropBeforeReport) {
                     fate = Fate::DropsBeforeReport;
                 }
                 if fate == Fate::DropsBeforeReport {
-                    slot_fate[slot as usize] = fate;
+                    delivered[slot as usize].fate = fate;
                     continue;
                 }
                 // The privacy disclosure: computed and metered here, once,
                 // whatever the transport then does to the frame. A stale
                 // fault re-sends an old report, disclosing nothing new.
-                let raw = bit(codes[local], j);
+                let raw = bit(self.codes[local], j);
                 let sent = match &config.protocol.privacy {
-                    Some(rr) => rr.flip(raw, rng),
+                    Some(rr) => rr.flip(raw, self.rng),
                     None => raw,
                 };
                 if fault != Some(FaultKind::StaleRound) {
-                    if let Some(ledger) = ledger.as_deref_mut() {
-                        ledger.charge_round(env.to, round_id, 1, epsilon)?;
+                    if let Some(ledger) = self.ledger.as_deref_mut() {
+                        ledger.charge_round(env.to, round_id, 1, self.epsilon)?;
                     }
                 }
                 if fault == Some(FaultKind::DropBeforeUnmask) && fate == Fate::Responds {
                     fate = Fate::DropsAfterReport;
                 }
-                slot_fate[slot as usize] = fate;
+                delivered[slot as usize].fate = fate;
                 let body = if fault == Some(FaultKind::StaleRound) {
                     ReportMessage {
                         task_id: round_id.wrapping_sub(1),
@@ -1283,7 +1120,7 @@ pub(crate) fn collect_waves(
                         reports: vec![(assigned_bit, sent)],
                     }
                 };
-                transport.send(Envelope {
+                self.transport.send(Envelope {
                     from: env.to,
                     to: COORDINATOR,
                     sent_at: at + HOP,
@@ -1297,228 +1134,91 @@ pub(crate) fn collect_waves(
         }
 
         if let Some(v) = validator {
-            rejections.absorb(&v.rejection_counts());
+            self.st.rejections.absorb(&v.rejection_counts());
         }
-        if let Some(lat) = &config.latency {
-            if wave_stragglers > 0 {
-                wave_time = wave_time.max(lat.timeout);
-            }
-        }
-        late_frames += wave_stragglers;
-        completion_time += wave_time;
-
-        // Close the wave in batch (contact) order, as the synchronous
-        // orchestrator records it: anything that produced no accepted
-        // delivery — vanished client, enforced deadline, rejected-everything
-        // transport — is one uniform "nothing arrived" record.
-        for (slot, &client) in batch.iter().enumerate() {
-            let (d_bit, d_value, copies) = slot_staged[slot];
-            if copies > 0 {
-                counts[d_bit as usize] += copies;
-                contacts.push(Contact {
-                    client,
-                    bit: d_bit,
-                    report: Some(d_value),
-                    fate: slot_fate[slot],
-                    copies,
-                });
-            } else {
-                contacts.push(Contact {
-                    client,
-                    bit: assignment[slot],
-                    report: None,
-                    fate: Fate::DropsBeforeReport,
-                    copies: 0,
-                });
-            }
+        for &client in &w.batch {
             wave_slot[client] = 0;
         }
+        Ok(stragglers)
     }
 
-    if saved > 0 {
-        traffic.credit_config_savings(saved as u64);
-    }
-
-    Ok(CollectState {
-        contacts,
-        counts,
-        completion_time,
-        backoff_time,
-        waves_used,
-        rejections,
-        faults_injected,
-        traffic,
-        clock: 2.0 * window_len * f64::from(waves_used),
-        late_frames,
-        parked,
-    })
-}
-
-/// The batched collect phase: the same wave schedule, client model, and
-/// RNG draw order as [`collect_waves`] — pool shuffle, per-wave assignment,
-/// latency, then per slot dropout and randomized response — but the wire
-/// carries one [`BatchReport`] frame per chunk of `chunk` clients instead
-/// of a Hello/RoundConfig/Report chain per client. The slot-order client
-/// loop is parity-exact because the scalar path's per-client chains are
-/// serialized by construction (`HOP` < `STEP`), so its model draws land in
-/// slot order too.
-///
-/// The wire is load-bearing: every chunk frame round-trips through the
-/// transport and is decoded back into planes on the server side; a frame
-/// the transport fails to deliver turns its whole chunk into "nothing
-/// arrived" records. Returns the collect state plus the round's packed
-/// planes, one slot per contact in contact order.
-///
-/// # Errors
-/// See [`FedError`].
-#[allow(clippy::too_many_lines)]
-pub(crate) fn collect_batched(
-    codes: &[u64],
-    config: &FederatedMeanConfig,
-    chunk: usize,
-    client_offset: u64,
-    mut ledger: Option<&mut PrivacyLedger>,
-    transport: &mut dyn Transport,
-    rng: &mut dyn Rng,
-) -> Result<(CollectState, BitPlanes), FedError> {
-    debug_assert!(chunk > 0, "builder rejects a zero chunk");
-    debug_assert!(
-        config.faults.is_none() && config.salvage.is_none(),
-        "builder rejects faults and salvage on the batched wire"
-    );
-    let bits = config.protocol.codec.bits();
-    let round_id = config.session_seed;
-    let epsilon = config
-        .protocol
-        .privacy
-        .as_ref()
-        .map_or(0.0, RandomizedResponse::epsilon);
-    let secagg_on = config.secagg.is_some();
-
-    // Uncontacted-client pool, randomly ordered (first legacy RNG draw).
-    let mut pool: Vec<usize> = (0..codes.len()).collect();
-    pool.shuffle(rng);
-
-    let base_probs = config.protocol.sampling.probs().to_vec();
-    let mut counts = vec![0u64; bits as usize];
-    let mut contacts: Vec<Contact> = Vec::new();
-    let mut round_planes = BitPlanes::new(bits, 0);
-    let mut completion_time = 0.0;
-    let mut backoff_time = 0.0;
-    let mut waves_used = 0;
-    let mut traffic = TrafficStats::new();
-    let window_len = config.latency.as_ref().map_or(1.0, |l| l.timeout);
-
-    for wave in 0..config.max_waves {
-        if pool.is_empty() {
-            break;
-        }
-        let sampling = if wave == 0 {
-            config.protocol.sampling.clone()
-        } else {
-            let deficits: Vec<f64> = base_probs
-                .iter()
-                .zip(&counts)
-                .map(|(&p, &c)| {
-                    if p > 0.0 && c < config.min_reports_per_bit {
-                        (config.min_reports_per_bit - c) as f64
-                    } else {
-                        0.0
-                    }
-                })
-                .collect();
-            if deficits.iter().all(|&d| d == 0.0) {
-                break;
-            }
-            BitSampling::custom(deficits)
-        };
-
-        let wave_size = if wave == 0 {
-            ((config.wave_fraction * pool.len() as f64).ceil() as usize).clamp(1, pool.len())
-        } else {
-            let deficit_total: u64 = base_probs
-                .iter()
-                .zip(&counts)
-                .filter(|(&p, &c)| p > 0.0 && c < config.min_reports_per_bit)
-                .map(|(_, &c)| config.min_reports_per_bit - c)
-                .sum();
-            let needed =
-                (deficit_total as f64 / config.dropout.response_rate().max(0.01)).ceil() as usize;
-            needed.clamp(1, pool.len())
-        };
-        if wave > 0 {
-            let pause = config.retry.backoff(wave - 1);
-            backoff_time += pause;
-            completion_time += pause;
-        }
-        waves_used = wave + 1;
-
-        let batch: Vec<usize> = pool.drain(..wave_size).collect();
-        let assignment = sampling.assign(config.protocol.assignment, batch.len(), rng);
-        let wave_time = match &config.latency {
-            Some(lat) => lat.simulate_round(batch.len(), 0.9, rng).completion_time,
-            None => 0.0,
-        };
-
-        let t0 = 2.0 * window_len * f64::from(wave);
-        let deadline = t0 + window_len;
-        transport.open_window(t0, deadline);
-        let threshold_hint = config.secagg.map_or(0, |s| {
-            ((s.threshold_fraction * batch.len() as f64).ceil() as u64).clamp(1, batch.len() as u64)
-        });
+    /// The batched wire: one shared `ConfigHeader` per wave, then one
+    /// [`BatchReport`] frame per chunk of `chunk` clients instead of a
+    /// Hello/RoundConfig/Report chain per client. The client model runs in
+    /// slot order, which is parity-exact because the per-client wire's
+    /// chains are serialized by construction (`HOP` < `STEP`), so its
+    /// model draws land in slot order too.
+    ///
+    /// The wire is load-bearing: every chunk frame round-trips through the
+    /// transport and the server reads reports only off the decoded planes,
+    /// keyed by chunk nonce; a chunk the wire lost or delivered late is
+    /// "nothing arrived" for all its slots.
+    fn exchange_batched(
+        &mut self,
+        w: &Wave,
+        chunk: usize,
+        delivered: &mut [Delivery],
+    ) -> Result<(), FedError> {
+        debug_assert!(chunk > 0, "builder rejects a zero chunk");
+        let config = self.config;
+        let bits = config.protocol.codec.bits();
+        let round_id = config.session_seed;
         // One shared config broadcast per wave; assignments travel inside
         // the chunk schedule, not as per-client frames.
-        transport.send(Envelope {
+        self.transport.send(Envelope {
             from: COORDINATOR,
             to: BROADCAST,
-            sent_at: t0,
+            sent_at: w.t0,
             payload: Message::ConfigHeader(ConfigHeader {
                 round_id,
-                secagg: secagg_on,
-                threshold: threshold_hint,
-                vector_len: if secagg_on { 2 * u64::from(bits) } else { 0 },
+                secagg: config.secagg.is_some(),
+                threshold: w.threshold_hint,
+                vector_len: w.vector_hint,
             })
             .encode(),
         });
 
-        // Client model in slot order — the exact draw order the scalar
-        // path's serialized delivery chains produce.
-        let mut slot_fate = vec![Fate::DropsBeforeReport; batch.len()];
-        let mut staged: Vec<Option<(u32, bool)>> = vec![None; batch.len()];
-        for (slot, &client) in batch.iter().enumerate() {
-            let j = assignment[slot];
-            let fate = config.dropout.sample(rng);
+        // Client model in slot order — the exact draw order the per-client
+        // wire's serialized delivery chains produce.
+        let mut sent: Vec<Option<(u32, bool)>> = vec![None; w.batch.len()];
+        for (slot, &client) in w.batch.iter().enumerate() {
+            let j = w.assignment[slot];
+            let fate = config.dropout.sample(self.rng);
+            delivered[slot].fate = fate;
             if fate == Fate::DropsBeforeReport {
                 continue;
             }
-            let raw = bit(codes[client], j);
-            let sent = match &config.protocol.privacy {
-                Some(rr) => rr.flip(raw, rng),
+            let raw = bit(self.codes[client], j);
+            let value = match &config.protocol.privacy {
+                Some(rr) => rr.flip(raw, self.rng),
                 None => raw,
             };
-            if let Some(ledger) = ledger.as_deref_mut() {
-                ledger.charge_round(client_offset + client as u64, round_id, 1, epsilon)?;
+            if let Some(ledger) = self.ledger.as_deref_mut() {
+                ledger.charge_round(
+                    self.client_offset + client as u64,
+                    round_id,
+                    1,
+                    self.epsilon,
+                )?;
             }
-            slot_fate[slot] = fate;
-            staged[slot] = Some((j, sent));
+            sent[slot] = Some((j, value));
         }
 
         // Edge packing: one BatchReport frame per chunk, slots local to
         // the chunk, sent when the chunk's first client would have
-        // reported on the scalar wire.
-        let n_chunks = batch.len().div_ceil(chunk);
-        for (ci, chunk_slots) in staged.chunks(chunk).enumerate() {
+        // reported on the per-client wire.
+        for (ci, chunk_slots) in sent.chunks(chunk).enumerate() {
             let start = ci * chunk;
             let mut planes = BitPlanes::new(bits, chunk_slots.len());
             for (s, entry) in chunk_slots.iter().enumerate() {
-                if let Some((j, sent)) = entry {
-                    planes.record(s, *j, *sent);
+                if let Some((j, value)) = entry {
+                    planes.record(s, *j, *value);
                 }
             }
-            transport.send(Envelope {
-                from: client_offset + batch[start] as u64,
+            self.transport.send(Envelope {
+                from: self.client_offset + w.batch[start] as u64,
                 to: COORDINATOR,
-                sent_at: t0 + start as f64 * STEP + 2.0 * HOP,
+                sent_at: w.t0 + start as f64 * STEP + 2.0 * HOP,
                 payload: Message::BatchReport(BatchReport {
                     nonce: ci as u64,
                     body: BatchReportMessage {
@@ -1530,91 +1230,60 @@ pub(crate) fn collect_batched(
             });
         }
 
-        // Server side: decode what actually arrived, keyed by chunk nonce
-        // so transport reordering cannot scramble slot identity.
-        let mut arrived: Vec<Option<BitPlanes>> = (0..n_chunks).map(|_| None).collect();
-        while let Some((at, env)) = transport.poll() {
+        // Server side: read every slot's report off the planes that
+        // actually arrived on time.
+        while let Some((at, env)) = self.transport.poll() {
             let Ok(msg) = Message::decode(&env.payload) else {
                 continue;
             };
             let nbytes = env.payload.len() as u64;
-            if env.to == COORDINATOR {
-                traffic.record(msg.phase(), Direction::Uplink, nbytes);
-                if let Message::BatchReport(br) = msg {
-                    if br.body.task_id != round_id || at > deadline {
-                        continue;
-                    }
-                    if let Some(slot) = arrived.get_mut(br.nonce as usize) {
-                        *slot = Some(br.body.planes);
-                    }
-                }
-            } else {
-                traffic.record(msg.phase(), Direction::Downlink, nbytes);
+            if env.to != COORDINATOR {
+                self.st
+                    .traffic
+                    .record(msg.phase(), Direction::Downlink, nbytes);
+                continue;
             }
-        }
-        completion_time += wave_time;
-
-        // Close the wave in batch order off the *decoded* planes: a chunk
-        // the wire lost contributes uniform "nothing arrived" records.
-        for (ci, decoded) in arrived.into_iter().enumerate() {
-            let start = ci * chunk;
-            let len = chunk.min(batch.len() - start);
-            let decoded = match decoded {
-                Some(p) if p.bits() == bits && p.slots() == len => p,
-                _ => BitPlanes::new(bits, len),
+            self.st
+                .traffic
+                .record(msg.phase(), Direction::Uplink, nbytes);
+            let Message::BatchReport(br) = msg else {
+                continue;
             };
-            for s in 0..len {
-                let slot = start + s;
-                let client = batch[slot];
-                let word = s / 64;
-                let mask = 1u64 << (s % 64);
-                let mut report = None;
-                for j in 0..bits as usize {
-                    if decoded.plane_occupancy(j)[word] & mask != 0 {
-                        report = Some((j, decoded.plane_value(j)[word] & mask != 0));
-                        break;
-                    }
-                }
-                match report {
-                    Some((j, value)) => {
-                        counts[j] += 1;
-                        contacts.push(Contact {
-                            client,
-                            bit: j as u32,
-                            report: Some(value),
-                            fate: slot_fate[slot],
-                            copies: 1,
-                        });
-                    }
-                    None => {
-                        contacts.push(Contact {
-                            client,
-                            bit: assignment[slot],
-                            report: None,
-                            fate: Fate::DropsBeforeReport,
-                            copies: 0,
-                        });
+            let Some(start) = usize::try_from(br.nonce)
+                .ok()
+                .and_then(|n| n.checked_mul(chunk))
+                .filter(|&s| s < w.batch.len())
+            else {
+                continue;
+            };
+            let planes = br.body.planes;
+            if br.body.task_id != round_id
+                || at > w.deadline
+                || planes.bits() != bits
+                || planes.slots() != chunk.min(w.batch.len() - start)
+            {
+                continue;
+            }
+            // Decoded planes hold at most one report per slot (the codec
+            // rejects a slot occupied on two planes).
+            for j in 0..bits {
+                let occupancy = planes.plane_occupancy(j as usize);
+                let values = planes.plane_value(j as usize);
+                for (word, (&occ, &val)) in occupancy.iter().zip(values).enumerate() {
+                    let mut rest = occ;
+                    while rest != 0 {
+                        let s = rest.trailing_zeros();
+                        rest &= rest - 1;
+                        let d = &mut delivered[start + word * 64 + s as usize];
+                        d.bit = j;
+                        d.value = (val >> s) & 1 != 0;
+                        d.copies = 1;
                     }
                 }
             }
-            round_planes.merge(&decoded);
         }
+        Ok(())
     }
-
-    let st = CollectState {
-        contacts,
-        counts,
-        completion_time,
-        backoff_time,
-        waves_used,
-        rejections: RejectionCounts::default(),
-        faults_injected: 0,
-        traffic,
-        clock: 2.0 * window_len * f64::from(waves_used),
-        late_frames: 0,
-        parked: Vec::new(),
-    };
-    Ok((st, round_planes))
 }
 
 /// Per-bit ones tally over direct (non-secagg) contacts.
@@ -1779,24 +1448,31 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    // Non-deprecated shims shadowing the glob-imported legacy wrappers, so
-    // the parity tests keep their original call shape without tripping
-    // `-D deprecated` under clippy.
-    fn run_federated_mean(
+    fn run_sync(
         values: &[f64],
         config: &FederatedMeanConfig,
-        rng: &mut dyn Rng,
+        seed: u64,
     ) -> Result<FederatedOutcome, FedError> {
-        run_round_impl(values, config, None, rng)
+        run_round_impl(values, config, None, &mut StdRng::seed_from_u64(seed))
     }
 
-    fn run_federated_mean_transport(
+    /// One session on `batched`'s wire over an in-memory transport seeded
+    /// like the RNG.
+    fn run_wire(
         values: &[f64],
         config: &FederatedMeanConfig,
-        transport: &mut dyn Transport,
-        rng: &mut dyn Rng,
+        batched: Option<usize>,
+        seed: u64,
     ) -> Result<FederatedOutcome, FedError> {
-        run_session(values, config, None, transport, rng)
+        let mut t = InMemoryTransport::new(seed);
+        run_session(
+            values,
+            config,
+            batched,
+            None,
+            &mut t,
+            &mut StdRng::seed_from_u64(seed),
+        )
     }
 
     fn base_config(bits: u32) -> FederatedMeanConfig {
@@ -1814,30 +1490,44 @@ mod tests {
     fn plain_round_is_bit_identical_to_legacy() {
         let vs = values(4_000, 100);
         let cfg = base_config(7);
-        let legacy = run_federated_mean(&vs, &cfg, &mut StdRng::seed_from_u64(1)).unwrap();
+        let legacy = run_sync(&vs, &cfg, 1).unwrap();
         let mut t = InMemoryTransport::new(0xBEEF);
         let evented =
-            run_federated_mean_transport(&vs, &cfg, &mut t, &mut StdRng::seed_from_u64(1)).unwrap();
+            run_session(&vs, &cfg, None, None, &mut t, &mut StdRng::seed_from_u64(1)).unwrap();
         assert_eq!(legacy.outcome.estimate, evented.outcome.estimate);
         assert_eq!(legacy.reports, evented.reports);
         assert_eq!(legacy.contacted, evented.contacted);
     }
 
     #[test]
-    fn dropout_and_refill_stay_bit_identical() {
+    fn plain_round_is_bit_identical_on_both_wires_per_seed() {
+        // Dropout plus refill waves: the sync engine, the per-client wire
+        // and the batched wire at every chunk size publish the same round.
         let vs = values(6_000, 100);
         let cfg = base_config(7)
             .with_dropout(DropoutModel::bernoulli(0.4))
             .with_auto_adjust(3, 20, 0.6);
         for seed in 0..5 {
-            let legacy = run_federated_mean(&vs, &cfg, &mut StdRng::seed_from_u64(seed)).unwrap();
-            let mut t = InMemoryTransport::new(seed);
-            let evented =
-                run_federated_mean_transport(&vs, &cfg, &mut t, &mut StdRng::seed_from_u64(seed))
-                    .unwrap();
-            assert_eq!(legacy.outcome.estimate, evented.outcome.estimate, "s{seed}");
-            assert_eq!(legacy.waves_used, evented.waves_used);
-            assert_eq!(legacy.robustness.degraded, evented.robustness.degraded);
+            let legacy = run_sync(&vs, &cfg, seed).unwrap();
+            let scalar = run_wire(&vs, &cfg, None, seed).unwrap();
+            assert_eq!(legacy.outcome.estimate, scalar.outcome.estimate, "s{seed}");
+            assert_eq!(legacy.waves_used, scalar.waves_used);
+            assert_eq!(legacy.robustness.degraded, scalar.robustness.degraded);
+            for chunk in [1usize, 64, 1_000, 100_000] {
+                let batched = run_wire(&vs, &cfg, Some(chunk), seed).unwrap();
+                assert_eq!(
+                    scalar.outcome.estimate.to_bits(),
+                    batched.outcome.estimate.to_bits(),
+                    "seed {seed} chunk {chunk}"
+                );
+                assert_eq!(scalar.outcome.bit_means, batched.outcome.bit_means);
+                assert_eq!(scalar.reports, batched.reports);
+                assert_eq!(scalar.contacted, batched.contacted);
+                assert_eq!(scalar.waves_used, batched.waves_used);
+                assert_eq!(scalar.completion_time, batched.completion_time);
+                assert_eq!(scalar.starved_bits, batched.starved_bits);
+                assert_eq!(scalar.robustness.degraded, batched.robustness.degraded);
+            }
         }
     }
 
@@ -1847,10 +1537,8 @@ mod tests {
         let cfg = base_config(6)
             .with_dropout(DropoutModel::phased(0.1, 0.05))
             .with_secagg(SecAggSettings::default());
-        let legacy = run_federated_mean(&vs, &cfg, &mut StdRng::seed_from_u64(3)).unwrap();
-        let mut t = InMemoryTransport::new(3);
-        let evented =
-            run_federated_mean_transport(&vs, &cfg, &mut t, &mut StdRng::seed_from_u64(3)).unwrap();
+        let legacy = run_sync(&vs, &cfg, 3).unwrap();
+        let evented = run_wire(&vs, &cfg, None, 3).unwrap();
         assert_eq!(legacy.outcome.estimate, evented.outcome.estimate);
         assert_eq!(legacy.secagg, evented.secagg);
         let tr = evented.robustness.traffic;
@@ -1870,12 +1558,36 @@ mod tests {
     }
 
     #[test]
+    fn secagg_round_is_bit_identical_on_both_wires_per_seed() {
+        let vs = values(300, 50);
+        let cfg = base_config(6)
+            .with_dropout(DropoutModel::phased(0.1, 0.05))
+            .with_secagg(SecAggSettings::default());
+        for seed in 0..4 {
+            let legacy = run_sync(&vs, &cfg, seed).unwrap();
+            let scalar = run_wire(&vs, &cfg, None, seed).unwrap();
+            let batched = run_wire(&vs, &cfg, Some(64), seed).unwrap();
+            for out in [&scalar, &batched] {
+                assert_eq!(
+                    legacy.outcome.estimate.to_bits(),
+                    out.outcome.estimate.to_bits(),
+                    "seed {seed}"
+                );
+                assert_eq!(legacy.secagg, out.secagg);
+                assert_eq!(
+                    legacy.robustness.secagg_retries,
+                    out.robustness.secagg_retries
+                );
+                assert_eq!(legacy.reports, out.reports);
+            }
+        }
+    }
+
+    #[test]
     fn collect_traffic_matches_frame_sizes_exactly() {
         let vs = values(500, 100);
         let cfg = base_config(8);
-        let mut t = InMemoryTransport::new(7);
-        let out =
-            run_federated_mean_transport(&vs, &cfg, &mut t, &mut StdRng::seed_from_u64(7)).unwrap();
+        let out = run_wire(&vs, &cfg, None, 7).unwrap();
         let tr = out.robustness.traffic;
         // No dropout: every client sends Hello, receives RoundConfig,
         // sends exactly one report frame.
@@ -1911,81 +1623,10 @@ mod tests {
     }
 
     #[test]
-    fn batched_plain_round_is_bit_identical_per_seed() {
-        let vs = values(4_000, 100);
-        let cfg = base_config(7)
-            .with_dropout(DropoutModel::bernoulli(0.3))
-            .with_auto_adjust(3, 20, 0.6);
-        for seed in 0..4 {
-            let mut ts = InMemoryTransport::new(seed);
-            let scalar =
-                run_session(&vs, &cfg, None, &mut ts, &mut StdRng::seed_from_u64(seed)).unwrap();
-            for chunk in [1usize, 64, 1_000, 100_000] {
-                let mut tb = InMemoryTransport::new(seed);
-                let batched = run_session_batched(
-                    &vs,
-                    &cfg,
-                    chunk,
-                    None,
-                    &mut tb,
-                    &mut StdRng::seed_from_u64(seed),
-                )
-                .unwrap();
-                assert_eq!(
-                    scalar.outcome.estimate.to_bits(),
-                    batched.outcome.estimate.to_bits(),
-                    "seed {seed} chunk {chunk}"
-                );
-                assert_eq!(scalar.outcome.bit_means, batched.outcome.bit_means);
-                assert_eq!(scalar.reports, batched.reports);
-                assert_eq!(scalar.contacted, batched.contacted);
-                assert_eq!(scalar.waves_used, batched.waves_used);
-                assert_eq!(scalar.completion_time, batched.completion_time);
-                assert_eq!(scalar.starved_bits, batched.starved_bits);
-                assert_eq!(scalar.robustness.degraded, batched.robustness.degraded);
-            }
-        }
-    }
-
-    #[test]
-    fn batched_secagg_round_is_bit_identical_per_seed() {
-        let vs = values(300, 50);
-        let cfg = base_config(6)
-            .with_dropout(DropoutModel::phased(0.1, 0.05))
-            .with_secagg(SecAggSettings::default());
-        for seed in 0..4 {
-            let mut ts = InMemoryTransport::new(seed);
-            let scalar =
-                run_session(&vs, &cfg, None, &mut ts, &mut StdRng::seed_from_u64(seed)).unwrap();
-            let mut tb = InMemoryTransport::new(seed);
-            let batched = run_session_batched(
-                &vs,
-                &cfg,
-                64,
-                None,
-                &mut tb,
-                &mut StdRng::seed_from_u64(seed),
-            )
-            .unwrap();
-            assert_eq!(
-                scalar.outcome.estimate.to_bits(),
-                batched.outcome.estimate.to_bits(),
-                "seed {seed}"
-            );
-            assert_eq!(scalar.secagg, batched.secagg);
-            assert_eq!(
-                scalar.robustness.secagg_retries,
-                batched.robustness.secagg_retries
-            );
-            assert_eq!(scalar.reports, batched.reports);
-        }
-    }
-
-    #[test]
     fn batched_secagg_retry_path_matches_the_scalar_retry_path() {
         // A phased-dropout cohort with a high threshold forces
         // `TooFewSurvivors` on the first attempt, exercising the shrunken
-        // rebuilt-planes retry loop against the scalar one.
+        // cohort's retry loop on both wires.
         let vs = values(200, 50);
         let cfg = base_config(5)
             .with_dropout(DropoutModel::phased(0.2, 0.3))
@@ -1995,17 +1636,8 @@ mod tests {
             });
         let mut hit_retry = false;
         for seed in 0..12 {
-            let mut ts = InMemoryTransport::new(seed);
-            let scalar = run_session(&vs, &cfg, None, &mut ts, &mut StdRng::seed_from_u64(seed));
-            let mut tb = InMemoryTransport::new(seed);
-            let batched = run_session_batched(
-                &vs,
-                &cfg,
-                32,
-                None,
-                &mut tb,
-                &mut StdRng::seed_from_u64(seed),
-            );
+            let scalar = run_wire(&vs, &cfg, None, seed);
+            let batched = run_wire(&vs, &cfg, Some(32), seed);
             match (scalar, batched) {
                 (Ok(s), Ok(b)) => {
                     assert_eq!(s.outcome.estimate.to_bits(), b.outcome.estimate.to_bits());
@@ -2024,30 +1656,22 @@ mod tests {
     fn batched_metered_round_bills_the_ledger_identically() {
         let vs = values(2_000, 64);
         let cfg = base_config(6).with_dropout(DropoutModel::bernoulli(0.2));
-        let mut scalar_ledger = PrivacyLedger::new();
-        let mut ts = InMemoryTransport::new(5);
-        run_session(
-            &vs,
-            &cfg,
-            Some(&mut scalar_ledger),
-            &mut ts,
-            &mut StdRng::seed_from_u64(5),
-        )
-        .unwrap();
-        let mut batched_ledger = PrivacyLedger::new();
-        let mut tb = InMemoryTransport::new(5);
-        run_session_batched(
-            &vs,
-            &cfg,
-            128,
-            Some(&mut batched_ledger),
-            &mut tb,
-            &mut StdRng::seed_from_u64(5),
-        )
-        .unwrap();
+        let mut ledgers = [PrivacyLedger::new(), PrivacyLedger::new()];
+        for (ledger, batched) in ledgers.iter_mut().zip([None, Some(128)]) {
+            let mut t = InMemoryTransport::new(5);
+            run_session(
+                &vs,
+                &cfg,
+                batched,
+                Some(ledger),
+                &mut t,
+                &mut StdRng::seed_from_u64(5),
+            )
+            .unwrap();
+        }
         assert_eq!(
-            scalar_ledger.max_bits_per_client(),
-            batched_ledger.max_bits_per_client()
+            ledgers[0].max_bits_per_client(),
+            ledgers[1].max_bits_per_client()
         );
     }
 
@@ -2055,12 +1679,8 @@ mod tests {
     fn batched_wire_amortizes_collect_uplink_frames() {
         let vs = values(5_000, 100);
         let cfg = base_config(8);
-        let mut ts = InMemoryTransport::new(2);
-        let scalar = run_session(&vs, &cfg, None, &mut ts, &mut StdRng::seed_from_u64(2)).unwrap();
-        let mut tb = InMemoryTransport::new(2);
-        let batched =
-            run_session_batched(&vs, &cfg, 512, None, &mut tb, &mut StdRng::seed_from_u64(2))
-                .unwrap();
+        let scalar = run_wire(&vs, &cfg, None, 2).unwrap();
+        let batched = run_wire(&vs, &cfg, Some(512), 2).unwrap();
         let s_up = scalar
             .robustness
             .traffic
@@ -2091,15 +1711,11 @@ mod tests {
 
     #[test]
     fn empty_population_is_a_typed_error() {
-        let mut t = InMemoryTransport::new(0);
-        assert!(matches!(
-            run_federated_mean_transport(
-                &[],
-                &base_config(4),
-                &mut t,
-                &mut StdRng::seed_from_u64(0)
-            ),
-            Err(FedError::PopulationTooSmall { got: 0, need: 1 })
-        ));
+        for batched in [None, Some(64)] {
+            assert!(matches!(
+                run_wire(&[], &base_config(4), batched, 0),
+                Err(FedError::PopulationTooSmall { got: 0, need: 1 })
+            ));
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! Hierarchical secure aggregation over sharded coordinators.
 //!
-//! [`run_sharded_mean`](crate::shard::run_sharded_mean) rejects secagg
-//! configs because masked vectors cancel only within one unmask domain.
+//! A [sharded](crate::shard) round rejects secagg configs because masked
+//! vectors cancel only within one unmask domain.
 //! This module is the resolution: every shard runs its *own* independent
 //! Bonawitz-style instance over its cohort (own key graph, own Shamir
 //! threshold, its four message rounds framed through the shard's
@@ -37,10 +37,7 @@ use fednum_fedsim::round::{DegradedMode, FederatedMeanConfig, SalvageOutcome};
 use fednum_fedsim::traffic::{Direction, TrafficPhase, TrafficStats};
 use fednum_fedsim::validation::RejectionCounts;
 
-use crate::coordinator::{
-    collect_batched, collect_waves, debias_sums, fill_derived, run_salvage, secagg_tally,
-    secagg_tally_planes,
-};
+use crate::coordinator::{collect, debias_sums, fill_derived, run_salvage, secagg_tally};
 use crate::message::{
     EncryptedShare, KeyAdvertise, KeyShares, MaskedInput, Message, Publish, UnmaskShares,
     ENCRYPTED_SHARE_LEN, PUBLIC_KEY_LEN,
@@ -67,7 +64,7 @@ pub type ShardTransportFactory<'a> =
 
 /// Virtual-time spacing between merge-tier frames.
 const STEP: f64 = 3e-9;
-/// Scheduler-seed tag for per-shard transports (same as `run_sharded_mean`).
+/// Scheduler-seed tag for per-shard transports (same as a sharded round).
 const TRANSPORT_TAG: u64 = 0xA24B_AED4_963E_E407;
 /// Scheduler-seed tag for the merge-tier transport and RNG.
 const MERGE_TAG: u64 = 0x1F83_D9AB_FB41_BD6B;
@@ -158,14 +155,20 @@ struct ShardRun {
 /// Runs one federated mean round with the population partitioned across
 /// `hier.shards` coordinator shards, each shard's reports aggregated by
 /// its own secure-aggregation instance, and the per-shard sums merged
-/// through a second instance among the shard aggregators.
+/// through a second instance among the shard aggregators — the engine
+/// behind `RoundBuilder::hierarchical`.
 ///
 /// `config.secagg` must be set (its settings configure the per-shard tier,
 /// mirrored by `hier.shard`); `workers` bounds the OS threads running
 /// shard sessions concurrently — any value yields bit-identical results;
-/// `seed` drives every stream, exactly as in `run_sharded_mean`, with the
+/// `seed` drives every stream, exactly as in a sharded round, with the
 /// secagg instances additionally keyed by `hier.session_seed` per tier and
-/// shard.
+/// shard. `factory`, when given, supplies each shard's transport (see
+/// [`ShardTransportFactory`]); the second return value is the merged wire
+/// totals of the shard transports, `None` when none of them meter a wire.
+/// `batched` picks every shard's wire (see
+/// [`collect`](crate::coordinator::collect)); the estimate does not depend
+/// on it.
 ///
 /// # Errors
 /// `InvalidConfig` when secagg is off or the partition violates the
@@ -173,30 +176,6 @@ struct ShardRun {
 /// `CohortTooSmall` against the merged cohort; `SecAgg` when the merge
 /// instance fails (map to [`DegradedMode::Aborted`] in telemetry) or a
 /// shard instance fails for a non-degrading reason.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `fednum::transport::RoundBuilder::new(config)\
-            .hierarchical(hier, workers).run(values)`"
-)]
-pub fn run_hierarchical_mean(
-    values: &[f64],
-    config: &FederatedMeanConfig,
-    hier: &HierSecConfig,
-    workers: usize,
-    seed: u64,
-) -> Result<HierShardedOutcome, FedError> {
-    hierarchical_impl(values, config, hier, workers, seed, None, None).map(|(out, _)| out)
-}
-
-/// The two-tier engine behind the deprecated free function and the
-/// `RoundBuilder` facade. `factory`, when given, supplies each shard's
-/// transport (see [`ShardTransportFactory`]); the second return value is
-/// the merged wire totals of the shard transports, `None` when none of
-/// them meter a wire. `batched` switches every shard onto the chunked
-/// multi-client wire with plane-popcount secure tallies
-/// ([`collect_batched`](crate::coordinator::collect_batched) +
-/// [`secagg_tally_planes`](crate::coordinator::secagg_tally_planes)),
-/// bit-identical per seed to the scalar wire.
 #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
 pub(crate) fn hierarchical_impl(
     values: &[f64],
@@ -211,7 +190,7 @@ pub(crate) fn hierarchical_impl(
         return Err(FedError::InvalidConfig(
             "hierarchical aggregation is the secure path: set \
              FederatedMeanConfig::with_secagg (for direct sharding use \
-             run_sharded_mean)"
+             RoundBuilder::sharded)"
                 .into(),
         ));
     };
@@ -250,31 +229,15 @@ pub(crate) fn hierarchical_impl(
             None if config.faults.is_some() => Box::new(SimNetTransport::for_config(config, tseed)),
             None => Box::new(InMemoryTransport::new(tseed)),
         };
-        let (mut st, planes) = match batched {
-            Some(chunk) => {
-                let (st, planes) = collect_batched(
-                    slice,
-                    config,
-                    chunk,
-                    offsets[s] as u64,
-                    None,
-                    transport.as_mut(),
-                    &mut rng,
-                )?;
-                (st, Some(planes))
-            }
-            None => {
-                let st = collect_waves(
-                    slice,
-                    config,
-                    offsets[s] as u64,
-                    None,
-                    transport.as_mut(),
-                    &mut rng,
-                )?;
-                (st, None)
-            }
-        };
+        let mut st = collect(
+            slice,
+            config,
+            batched,
+            offsets[s] as u64,
+            None,
+            transport.as_mut(),
+            &mut rng,
+        )?;
         let collected: u64 = st.counts.iter().sum();
         let reporters = st.contacts.iter().filter(|c| c.report.is_some()).count();
         let mut run = ShardRun {
@@ -296,28 +259,15 @@ pub(crate) fn hierarchical_impl(
         if reporters > 0 {
             // The shard's own secagg instance, keyed by tier and index so
             // its key graph is independent of every sibling's.
-            let tally = match &planes {
-                Some(p) => secagg_tally_planes(
-                    &mut st,
-                    p,
-                    config,
-                    &hier.shard,
-                    hier.shard_session(s),
-                    round_id,
-                    None,
-                    transport.as_mut(),
-                ),
-                None => secagg_tally(
-                    &mut st,
-                    config,
-                    &hier.shard,
-                    hier.shard_session(s),
-                    round_id,
-                    None,
-                    transport.as_mut(),
-                    &mut rng,
-                ),
-            };
+            let tally = secagg_tally(
+                &mut st,
+                config,
+                &hier.shard,
+                hier.shard_session(s),
+                round_id,
+                None,
+                transport.as_mut(),
+            );
             match tally {
                 Ok(tally) => {
                     let mut sum = tally.ones;
@@ -352,7 +302,6 @@ pub(crate) fn hierarchical_impl(
                     offsets[s] as u64,
                     None,
                     transport.as_mut(),
-                    &mut rng,
                 );
                 if matches!(res.outcome, SalvageOutcome::Salvaged { .. }) {
                     let mut sum = res.ones;
@@ -697,26 +646,6 @@ mod tests {
     use fednum_fedsim::dropout::DropoutModel;
     use fednum_fedsim::round::SecAggSettings;
 
-    // Non-deprecated shims shadowing the glob-imported legacy wrappers.
-    fn run_hierarchical_mean(
-        values: &[f64],
-        config: &FederatedMeanConfig,
-        hier: &HierSecConfig,
-        workers: usize,
-        seed: u64,
-    ) -> Result<HierShardedOutcome, FedError> {
-        hierarchical_impl(values, config, hier, workers, seed, None, None).map(|(out, _)| out)
-    }
-
-    fn run_sharded_mean(
-        values: &[f64],
-        config: &FederatedMeanConfig,
-        shards: usize,
-        seed: u64,
-    ) -> Result<crate::shard::ShardedOutcome, FedError> {
-        sharded_impl(values, config, shards, seed, None)
-    }
-
     fn settings() -> SecAggSettings {
         SecAggSettings {
             threshold_fraction: 0.5,
@@ -747,23 +676,36 @@ mod tests {
 
     #[test]
     fn secagg_off_is_rejected_with_guidance() {
-        let err = run_hierarchical_mean(&values(100, 10), &plain_config(4), &hier(4, 3), 1, 1)
-            .unwrap_err();
+        let err = hierarchical_impl(
+            &values(100, 10),
+            &plain_config(4),
+            &hier(4, 3),
+            1,
+            1,
+            None,
+            None,
+        )
+        .unwrap_err();
         let FedError::InvalidConfig(msg) = err else {
             panic!("expected InvalidConfig, got {err}");
         };
         assert!(msg.contains("with_secagg"), "unhelpful message: {msg}");
-        assert!(msg.contains("run_sharded_mean"), "unhelpful message: {msg}");
+        assert!(
+            msg.contains("RoundBuilder::sharded"),
+            "unhelpful message: {msg}"
+        );
     }
 
     #[test]
     fn clean_round_matches_the_plain_sharded_estimate() {
         let vs = values(1_200, 100);
-        let out = run_hierarchical_mean(&vs, &config(7), &hier(4, 3), 2, 11).unwrap();
+        let out = hierarchical_impl(&vs, &config(7), &hier(4, 3), 2, 11, None, None)
+            .unwrap()
+            .0;
         // Same seed, same partition, secagg off: the collect phase draws the
         // same RNG stream, and secagg is exact arithmetic over the same
         // reports, so the estimates agree bit for bit.
-        let plain = run_sharded_mean(&vs, &plain_config(7), 4, 11).unwrap();
+        let plain = sharded_impl(&vs, &plain_config(7), 4, 11, None).unwrap();
         assert_eq!(out.outcome.estimate, plain.outcome.estimate);
         assert_eq!(out.reports, plain.reports);
         assert_eq!(out.contacted, 1_200);
@@ -777,9 +719,13 @@ mod tests {
         let vs = values(900, 64);
         let cfg = config(6).with_dropout(DropoutModel::bernoulli(0.2));
         let h = hier(6, 4);
-        let one = run_hierarchical_mean(&vs, &cfg, &h, 1, 9).unwrap();
+        let one = hierarchical_impl(&vs, &cfg, &h, 1, 9, None, None)
+            .unwrap()
+            .0;
         for workers in [2, 4, 8] {
-            let w = run_hierarchical_mean(&vs, &cfg, &h, workers, 9).unwrap();
+            let w = hierarchical_impl(&vs, &cfg, &h, workers, 9, None, None)
+                .unwrap()
+                .0;
             assert_eq!(w.outcome, one.outcome, "workers={workers}");
             assert_eq!(w.reports, one.reports);
             assert_eq!(w.traffic, one.traffic);
@@ -793,7 +739,9 @@ mod tests {
     #[test]
     fn merge_frames_carry_only_masked_material() {
         let vs = values(800, 50);
-        let out = run_hierarchical_mean(&vs, &config(6), &hier(4, 3), 2, 3).unwrap();
+        let out = hierarchical_impl(&vs, &config(6), &hier(4, 3), 2, 3, None, None)
+            .unwrap()
+            .0;
         let mut masked_inputs = 0usize;
         let mut key_adverts = 0usize;
         for frame in &out.merge_frames {
@@ -828,7 +776,9 @@ mod tests {
     fn degraded_shards_partition_cleanly_under_dropout() {
         let vs = values(1_200, 32);
         let cfg = config(5).with_dropout(DropoutModel::bernoulli(0.45));
-        let out = run_hierarchical_mean(&vs, &cfg, &hier(6, 2), 2, 21).unwrap();
+        let out = hierarchical_impl(&vs, &cfg, &hier(6, 2), 2, 21, None, None)
+            .unwrap()
+            .0;
         let mut all: Vec<usize> = out
             .included_shards
             .iter()
@@ -841,7 +791,9 @@ mod tests {
             assert_eq!(out.degraded, DegradedMode::Partial);
         }
         assert!(out.outcome.estimate.is_finite());
-        let again = run_hierarchical_mean(&vs, &cfg, &hier(6, 2), 4, 21).unwrap();
+        let again = hierarchical_impl(&vs, &cfg, &hier(6, 2), 4, 21, None, None)
+            .unwrap()
+            .0;
         assert_eq!(again.outcome.estimate, out.outcome.estimate);
         assert_eq!(again.degraded_shards, out.degraded_shards);
     }
@@ -849,7 +801,9 @@ mod tests {
     #[test]
     fn traffic_splits_into_tiers() {
         let vs = values(1_000, 16);
-        let out = run_hierarchical_mean(&vs, &config(4), &hier(4, 3), 1, 5).unwrap();
+        let out = hierarchical_impl(&vs, &config(4), &hier(4, 3), 1, 5, None, None)
+            .unwrap()
+            .0;
         let merged_total = out.traffic.total_bytes();
         let shard_total = out.shard_traffic.total_bytes();
         let merge_total = out.merge_traffic.total_bytes();

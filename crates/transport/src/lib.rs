@@ -30,16 +30,10 @@ pub mod shard;
 pub mod shuffle;
 pub mod tcp;
 
-#[allow(deprecated)]
-pub use adaptive::run_federated_adaptive_transport;
 pub use builder::{RoundBuilder, RoundDetail, RoundOutcome};
-#[allow(deprecated)]
-pub use coordinator::{run_federated_mean_transport, run_federated_mean_transport_metered};
 pub use daemon::{DaemonConfig, DaemonHandle, DaemonSnapshot, RoundStream};
 pub use fleet::client::{ClientPool, ClientSession, FailMode};
 pub use fleet::{FleetConfig, FleetEngine, FleetLedger, FleetRoundReport};
-#[allow(deprecated)]
-pub use hier::run_hierarchical_mean;
 pub use hier::{HierShardedOutcome, ShardTransportFactory};
 pub use message::Message;
 pub use net::{
@@ -49,8 +43,6 @@ pub use net::{
 pub use netchaos::{ChaosConfig, ChaosProxy, ChaosStats};
 pub use scheduler::EventQueue;
 pub use session::{MultiSessionEngine, SessionSlot};
-#[allow(deprecated)]
-pub use shard::run_sharded_mean;
 pub use shard::ShardedOutcome;
 pub use shuffle::{ShuffleConfig, ShuffledOutcome};
 pub use tcp::{CampaignStatus, CommitReceipt, RoundAdmission, SessionStats, TcpTransport};

@@ -11,14 +11,14 @@
 //! Sharding changes the sampling structure (K independent shuffles and
 //! assignments instead of one), so estimates are *statistically* equivalent
 //! to, not bit-identical with, the single-coordinator path; the figure
-//! panel and `run_sharded_mean` tests pin the accuracy. Refill waves
+//! panel and this module's tests pin the accuracy. Refill waves
 //! enforce `min_reports_per_bit` per shard, which is conservative: the
 //! merged round meets at least the single-coordinator floor.
 //!
 //! Secure aggregation is deliberately rejected here: masked vectors cancel
 //! only within one unmask domain, so a secagg cohort cannot be split across
 //! shards without a second aggregation tier — which is exactly what
-//! [`run_hierarchical_mean`](crate::hier::run_hierarchical_mean) provides.
+//! [`hier`](crate::hier) provides (`RoundBuilder::hierarchical`).
 
 use fednum_core::accumulator::BitAccumulator;
 use fednum_core::protocol::basic::{BasicBitPushing, Outcome};
@@ -29,7 +29,7 @@ use fednum_fedsim::error::FedError;
 use fednum_fedsim::traffic::{Direction, TrafficPhase, TrafficStats};
 use fednum_fedsim::validation::RejectionCounts;
 
-use crate::coordinator::{collect_batched, collect_waves, debias_sums, direct_tally};
+use crate::coordinator::{collect, debias_sums, direct_tally};
 use crate::message::{Message, Publish};
 use crate::net::InMemoryTransport;
 use crate::scheduler::mix;
@@ -59,7 +59,10 @@ pub struct ShardedOutcome {
 
 /// Runs one federated mean round with the population partitioned across
 /// `shards` independently scheduled coordinator shards, merging partial
-/// per-bit sums at publish.
+/// per-bit sums at publish — the engine behind
+/// `RoundBuilder::sharded`. `batched` picks every shard's wire (see
+/// [`collect`](crate::coordinator::collect)); the estimate does not depend
+/// on it.
 ///
 /// `seed` drives everything: shard `s` gets RNG stream `mix(seed ^ s)` and
 /// scheduler stream `mix(seed ^ s ^ tag)`, so the run is deterministic and
@@ -70,26 +73,6 @@ pub struct ShardedOutcome {
 /// `InvalidConfig` for zero shards or a secagg config (see module docs);
 /// otherwise the usual [`FedError`] round failures, evaluated globally
 /// (`NoReports`, `CohortTooSmall` against the merged cohort).
-#[deprecated(
-    since = "0.2.0",
-    note = "use `fednum::transport::RoundBuilder::new(config).sharded(shards, seed)\
-            .run(values)`"
-)]
-pub fn run_sharded_mean(
-    values: &[f64],
-    config: &fednum_fedsim::round::FederatedMeanConfig,
-    shards: usize,
-    seed: u64,
-) -> Result<ShardedOutcome, FedError> {
-    sharded_impl(values, config, shards, seed, None)
-}
-
-/// The sharded-round engine behind the deprecated free function and the
-/// `RoundBuilder` facade. `batched` switches every shard onto the chunked
-/// multi-client wire (see
-/// [`collect_batched`](crate::coordinator::collect_batched)) with the given
-/// chunk size, tallying by plane popcounts; per-shard estimates stay
-/// bit-identical to the scalar wire per seed.
 pub(crate) fn sharded_impl(
     values: &[f64],
     config: &fednum_fedsim::round::FederatedMeanConfig,
@@ -103,8 +86,8 @@ pub(crate) fn sharded_impl(
     if config.secagg.is_some() {
         return Err(FedError::InvalidConfig(
             "secure aggregation cannot span coordinator shards directly; \
-             use run_hierarchical_mean (two-tier secagg over shards) or \
-             run_federated_mean_transport (one flat cohort)"
+             use RoundBuilder::hierarchical (two-tier secagg over shards) \
+             or drop `.sharded(..)` (one flat cohort)"
                 .into(),
         ));
     }
@@ -134,27 +117,16 @@ pub(crate) fn sharded_impl(
         let slice = &codes[start..start + len];
         let mut rng = StdRng::seed_from_u64(mix(seed ^ s as u64));
         let mut transport = InMemoryTransport::new(mix(seed ^ (s as u64) ^ 0xA24B_AED4_963E_E407));
-        let (st, shard_ones) = match batched {
-            Some(chunk) => {
-                let (st, planes) = collect_batched(
-                    slice,
-                    config,
-                    chunk,
-                    start as u64,
-                    None,
-                    &mut transport,
-                    &mut rng,
-                )?;
-                let shard_ones = planes.ones();
-                (st, shard_ones)
-            }
-            None => {
-                let st =
-                    collect_waves(slice, config, start as u64, None, &mut transport, &mut rng)?;
-                let shard_ones = direct_tally(&st.contacts, bits);
-                (st, shard_ones)
-            }
-        };
+        let st = collect(
+            slice,
+            config,
+            batched,
+            start as u64,
+            None,
+            &mut transport,
+            &mut rng,
+        )?;
+        let shard_ones = direct_tally(&st.contacts, bits);
         for j in 0..bits as usize {
             ones[j] += shard_ones[j];
             counts[j] += st.counts[j];
@@ -223,31 +195,11 @@ fn contacted_reporters(total_reports: u64, contacted: usize) -> usize {
 mod tests {
     use super::*;
     use crate::coordinator::run_session;
-    use crate::net::Transport;
     use fednum_core::encoding::FixedPointCodec;
     use fednum_core::protocol::basic::BasicConfig;
     use fednum_core::sampling::BitSampling;
     use fednum_fedsim::dropout::DropoutModel;
     use fednum_fedsim::round::{FederatedMeanConfig, SecAggSettings};
-
-    // Non-deprecated shims shadowing the glob-imported legacy wrappers.
-    fn run_sharded_mean(
-        values: &[f64],
-        config: &FederatedMeanConfig,
-        shards: usize,
-        seed: u64,
-    ) -> Result<ShardedOutcome, FedError> {
-        sharded_impl(values, config, shards, seed, None)
-    }
-
-    fn run_federated_mean_transport(
-        values: &[f64],
-        config: &FederatedMeanConfig,
-        transport: &mut dyn Transport,
-        rng: &mut dyn rand::Rng,
-    ) -> Result<fednum_fedsim::round::FederatedOutcome, FedError> {
-        run_session(values, config, None, transport, rng)
-    }
 
     fn config(bits: u32) -> FederatedMeanConfig {
         FederatedMeanConfig::new(BasicConfig::new(
@@ -267,7 +219,7 @@ mod tests {
     fn sharded_estimate_tracks_the_true_mean() {
         let vs = values(40_000, 128);
         let truth = vs.iter().sum::<f64>() / vs.len() as f64;
-        let out = run_sharded_mean(&vs, &config(7), 8, 11).unwrap();
+        let out = sharded_impl(&vs, &config(7), 8, 11, None).unwrap();
         assert_eq!(out.shards, 8);
         assert_eq!(out.contacted, 40_000);
         assert!(
@@ -281,11 +233,17 @@ mod tests {
     fn shard_count_one_matches_the_unsharded_transport_path() {
         let vs = values(5_000, 100);
         let cfg = config(7);
-        let sharded = run_sharded_mean(&vs, &cfg, 1, 5).unwrap();
+        let sharded = sharded_impl(&vs, &cfg, 1, 5, None).unwrap();
         let mut t = InMemoryTransport::new(mix(5 ^ 0xA24B_AED4_963E_E407));
-        let single =
-            run_federated_mean_transport(&vs, &cfg, &mut t, &mut StdRng::seed_from_u64(mix(5)))
-                .unwrap();
+        let single = run_session(
+            &vs,
+            &cfg,
+            None,
+            None,
+            &mut t,
+            &mut StdRng::seed_from_u64(mix(5)),
+        )
+        .unwrap();
         assert_eq!(sharded.outcome.estimate, single.outcome.estimate);
         assert_eq!(sharded.reports, single.reports);
     }
@@ -294,17 +252,17 @@ mod tests {
     fn sharded_run_is_deterministic_and_seed_sensitive() {
         let vs = values(10_000, 64);
         let cfg = config(6).with_dropout(DropoutModel::bernoulli(0.2));
-        let a = run_sharded_mean(&vs, &cfg, 4, 9).unwrap();
-        let b = run_sharded_mean(&vs, &cfg, 4, 9).unwrap();
+        let a = sharded_impl(&vs, &cfg, 4, 9, None).unwrap();
+        let b = sharded_impl(&vs, &cfg, 4, 9, None).unwrap();
         assert_eq!(a, b);
-        let c = run_sharded_mean(&vs, &cfg, 4, 10).unwrap();
+        let c = sharded_impl(&vs, &cfg, 4, 10, None).unwrap();
         assert_ne!(a.outcome.estimate, c.outcome.estimate);
     }
 
     #[test]
     fn traffic_merges_across_shards() {
         let vs = values(3_000, 32);
-        let out = run_sharded_mean(&vs, &config(5), 3, 2).unwrap();
+        let out = sharded_impl(&vs, &config(5), 3, 2, None).unwrap();
         let tr = &out.traffic;
         assert_eq!(
             tr.get(TrafficPhase::Rendezvous, Direction::Uplink).messages,
@@ -324,12 +282,12 @@ mod tests {
     fn secagg_and_zero_shards_are_rejected() {
         let vs = values(100, 10);
         assert!(matches!(
-            run_sharded_mean(&vs, &config(4), 0, 0),
+            sharded_impl(&vs, &config(4), 0, 0, None),
             Err(FedError::InvalidConfig(_))
         ));
         let cfg = config(4).with_secagg(SecAggSettings::default());
         assert!(matches!(
-            run_sharded_mean(&vs, &cfg, 2, 0),
+            sharded_impl(&vs, &cfg, 2, 0, None),
             Err(FedError::InvalidConfig(_))
         ));
     }
@@ -337,7 +295,7 @@ mod tests {
     #[test]
     fn more_shards_than_clients_degrades_gracefully() {
         let vs = values(5, 10);
-        let out = run_sharded_mean(&vs, &config(4), 64, 1).unwrap();
+        let out = sharded_impl(&vs, &config(4), 64, 1, None).unwrap();
         assert_eq!(out.shards, 5);
         assert_eq!(out.contacted, 5);
     }

@@ -18,6 +18,8 @@ use fednum_fedsim::round::{FederatedMeanConfig, FederatedOutcome, SecAggSettings
 use fednum_fedsim::{DropoutModel, FedError, LatencyModel, RetryPolicy};
 use fednum_transport::net::SimNetTransport;
 use fednum_transport::{InMemoryTransport, RoundBuilder, Transport};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Runs the synchronous (legacy-loop) engine through the builder facade:
 /// `.seed(s)` seeds the same `StdRng` stream the old free functions took.
@@ -318,4 +320,40 @@ fn budget_exhaustion_errors_identically() {
         (Err(FedError::Budget(a)), Err(FedError::Budget(b))) => assert_eq!(a, b),
         (l, e) => panic!("expected identical budget errors, got {l:?} vs {e:?}"),
     }
+}
+
+#[test]
+fn secure_round_leaves_the_caller_rng_at_the_same_position_on_both_wires() {
+    // The secure tally is a masked popcount that draws no randomness, so
+    // after a secure round with 10% dropout (Shamir recovery runs) the
+    // per-client wire, the batched wire and the sync engine have consumed
+    // exactly the collect phase's draws from a caller-supplied RNG.
+    let values: Vec<f64> = (0..2_000).map(|i| f64::from(i % 200)).collect();
+    let cfg = FederatedMeanConfig::new(BasicConfig::new(
+        FixedPointCodec::integer(BITS),
+        BitSampling::geometric(BITS, 1.0),
+    ))
+    .with_dropout(DropoutModel::bernoulli(0.1))
+    .with_secagg(SecAggSettings::default());
+    let next_draw = |via: bool, batched: Option<usize>| {
+        let mut rng = StdRng::seed_from_u64(41);
+        let mut transport = InMemoryTransport::new(41);
+        let mut b = RoundBuilder::new(cfg.clone()).rng(&mut rng);
+        if via {
+            b = b.via(&mut transport);
+        }
+        if let Some(chunk) = batched {
+            b = b.batched(chunk);
+        }
+        let out = b.run(&values).unwrap();
+        let secagg = out.flat().unwrap().secagg.unwrap();
+        assert!(
+            secagg.recovered_pairwise > 0,
+            "dropout must trigger recovery"
+        );
+        (out.estimate().to_bits(), rng.next_u64())
+    };
+    let per_client = next_draw(true, None);
+    assert_eq!(per_client, next_draw(true, Some(64)), "batched wire");
+    assert_eq!(per_client, next_draw(false, None), "sync engine");
 }

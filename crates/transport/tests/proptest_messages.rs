@@ -3,7 +3,7 @@
 //! and over-long frames, and panic-freedom on arbitrary byte soup.
 
 use fednum_core::bits::BitPlanes;
-use fednum_core::wire::{BatchReportMessage, ReportMessage};
+use fednum_core::wire::{BatchReportMessage, ReportMessage, WireError};
 use fednum_transport::message::{
     BatchReport, EncryptedShare, KeyAdvertise, KeyShares, MaskedInput, Publish, Report,
     RoundConfig, UnmaskShares, ENCRYPTED_SHARE_LEN, PUBLIC_KEY_LEN,
@@ -266,6 +266,30 @@ fn regression_batch_noncanonical_padding_rejected() {
     let n = bytes.len();
     bytes[n - 16] |= 0x08; // occupancy bit for slot 3 of 3
     assert!(Message::decode(&bytes).is_err());
+}
+
+#[test]
+fn regression_batch_slot_in_two_planes_rejected() {
+    // A batch frame whose slot 0 is occupied on both planes claims two
+    // reports from one client: the bit-level disclosure bound is one, so
+    // decode must fail closed with a typed error rather than let the plain
+    // tally count both.
+    let mut planes = BitPlanes::new(2, 3);
+    planes.record(0, 0, true);
+    let msg = Message::BatchReport(BatchReport {
+        nonce: 7,
+        body: BatchReportMessage { task_id: 7, planes },
+    });
+    let mut bytes = msg.encode();
+    assert!(Message::decode(&bytes).is_ok());
+    let n = bytes.len();
+    // Layout per plane: occupancy word, value word. Set slot 0's
+    // occupancy bit on plane 1 too.
+    bytes[n - 16] |= 0x01;
+    assert!(matches!(
+        Message::decode(&bytes),
+        Err(WireError::InvalidField(_))
+    ));
 }
 
 #[test]
