@@ -89,7 +89,7 @@ step "tcp-loopback smoke (fednumd + concurrent drivers over real sockets)"
 FEDNUMD_LOG=$(mktemp)
 FEDNUMD_FIFO=$(mktemp -u)
 mkfifo "$FEDNUMD_FIFO"
-./target/release/fednumd --addr 127.0.0.1:0 --workers 4 \
+./target/release/fednumd --addr 127.0.0.1:0 \
     > "$FEDNUMD_LOG" < "$FEDNUMD_FIFO" &
 FEDNUMD_PID=$!
 exec 8> "$FEDNUMD_FIFO"

@@ -1058,13 +1058,7 @@ fn main() {
 
     // In-process daemon unless an external fednumd was named with --addr.
     let daemon = if external_addr.is_none() {
-        Some(
-            fednum_transport::daemon::spawn(DaemonConfig {
-                workers: CONCURRENT_SESSIONS + 1,
-                ..DaemonConfig::default()
-            })
-            .expect("spawn daemon"),
-        )
+        Some(fednum_transport::daemon::spawn(DaemonConfig::default()).expect("spawn daemon"))
     } else {
         None
     };

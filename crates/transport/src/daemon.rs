@@ -11,12 +11,20 @@
 //!    [`FaultPlan`](fednum_fedsim::faults::FaultPlan) parameters, from
 //!    which the daemon rebuilds the driver's wire-fault stage via
 //!    [`SimNetTransport::with_plan`];
-//! 2. every `Env` frame is decoded, validated against the protocol
+//! 2. every `Env` frame — one the stage could alter, see
+//!    `net::wire_may_alter` — is decoded, validated against the protocol
 //!    codec, passed through that fault stage, and the resulting
 //!    deliveries (0, 1, or 2 of them — drops, duplicates, straggles)
 //!    are echoed back in exactly one `Deliveries` frame;
-//! 3. `Redeliver` frames bypass the fault stage, `Window` frames arm it,
-//!    and `Close` returns the session's wire totals;
+//! 3. `Post` frames carry everything else and get no reply: the driver
+//!    already scheduled them, so the daemon only validates the payload,
+//!    and ends the connection as a protocol error if the stage could
+//!    have altered the frame. `Redeliver` frames bypass the stage and
+//!    are one-way too. A `Barrier` is answered with an empty
+//!    `Deliveries` frame which, since frames are handled in order,
+//!    acknowledges every earlier frame; the driver sends one when its
+//!    flow-control window fills or its queue runs dry. `Window` frames
+//!    arm the stage, and `Close` returns the session's wire totals;
 //! 4. a connection whose first frame is a fleet `Rendezvous` instead
 //!    joins the [`crate::fleet`] subsystem: registry → selector →
 //!    heartbeat monitor → salvage, driven by the same loop.
@@ -58,7 +66,7 @@ use fednum_fedsim::error::FedError;
 
 use crate::fleet::{FleetAction, FleetConfig, FleetEngine, FleetLedger, FleetRoundReport};
 use crate::message::Message;
-use crate::net::{SimNetTransport, Transport};
+use crate::net::{wire_may_alter, SimNetTransport, Transport};
 use crate::reactor::{self, PollFd, INTEREST_READ, INTEREST_WRITE};
 use crate::tcp::{Ctrl, SessionHello, SessionStats, PROTOCOL_VERSION};
 
@@ -80,10 +88,6 @@ pub struct DaemonConfig {
     /// Bind address; use port 0 to let the OS pick (see
     /// [`DaemonHandle::addr`] for the resolved address).
     pub addr: String,
-    /// Legacy worker-pool size, accepted for compatibility. The reactor
-    /// daemon serves any number of connections on one thread; this knob
-    /// no longer bounds concurrency.
-    pub workers: usize,
     /// Per-connection idle timeout: a driver connection with no traffic
     /// for this long is dropped (and counted in
     /// [`DaemonSnapshot::timeouts`]). Fleet participants are governed by
@@ -118,7 +122,6 @@ impl Default for DaemonConfig {
     fn default() -> Self {
         Self {
             addr: "127.0.0.1:0".to_string(),
-            workers: 4,
             read_timeout: Duration::from_secs(30),
             shutdown_grace: Duration::from_secs(5),
             read_progress: Duration::from_secs(10),
@@ -322,8 +325,8 @@ pub struct DaemonSnapshot {
     /// Connections dropped by the idle timeout.
     pub timeouts: u64,
     /// Connections dropped for malformed control frames or protocol
-    /// misuse (e.g. `Env` before `Hello`, version mismatch, fleet frames
-    /// on a driver session).
+    /// misuse (e.g. `Env` before `Hello`, a `Post` the fault stage could
+    /// alter, version mismatch, fleet frames on a driver session).
     pub protocol_errors: u64,
     /// Envelope payloads that failed [`Message`] codec validation (the
     /// frame is still relayed; this is a diagnostic, not a drop).
@@ -1020,17 +1023,37 @@ fn handle_frame(
             }
             conn.reply(&Ctrl::Deliveries(items));
         }
-        Ctrl::Redeliver(env) => {
-            let Some(net) = conn.session.as_mut() else {
+        Ctrl::Post(env) => {
+            // The driver already scheduled this frame itself; a frame the
+            // stage could have altered must never take this path, or the
+            // fault plan would silently not apply.
+            let Some(hello) = conn.hello else {
                 conn.end = Some(ConnEnd::Protocol);
                 return;
             };
-            net.redeliver(env);
-            let mut items = Vec::with_capacity(1);
-            while let Some((at, out)) = net.poll() {
-                items.push((at, out));
+            if wire_may_alter(hello.faults.as_ref(), &env) {
+                conn.end = Some(ConnEnd::Protocol);
+                return;
             }
-            conn.reply(&Ctrl::Deliveries(items));
+            if Message::decode(&env.payload).is_err() {
+                counters.invalid_payloads.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        Ctrl::Redeliver(_) => {
+            // A redelivery bypasses the stage by definition, so the driver
+            // schedules it itself.
+            if conn.session.is_none() {
+                conn.end = Some(ConnEnd::Protocol);
+            }
+        }
+        Ctrl::Barrier => {
+            // Frames are handled in order, so this empty reply
+            // acknowledges every earlier frame on the connection.
+            if conn.session.is_none() {
+                conn.end = Some(ConnEnd::Protocol);
+                return;
+            }
+            conn.reply(&Ctrl::Deliveries(Vec::new()));
         }
         Ctrl::Window { start, deadline } => {
             let Some(net) = conn.session.as_mut() else {
@@ -1188,5 +1211,98 @@ fn campaign_err(e: &DurableError) -> Ctrl {
     Ctrl::CampaignErr {
         code,
         detail: e.to_string(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::message::Report;
+    use crate::net::{Envelope, COORDINATOR};
+    use fednum_core::wire::ReportMessage;
+    use fednum_fedsim::faults::{FaultPlan, FaultRates};
+
+    /// Writes `frames` on a fresh connection, reads replies until the
+    /// daemon hangs up, and returns the protocol errors it counted.
+    fn protocol_errors_after(frames: &[Ctrl]) -> u64 {
+        let handle = spawn(DaemonConfig::default()).expect("bind loopback daemon");
+        let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        for frame in frames {
+            wire::write_frame(&mut stream, &frame.encode()).expect("write");
+        }
+        while let Ok(Some(_)) = wire::read_frame(&mut stream) {}
+        handle.shutdown().expect("clean shutdown").protocol_errors
+    }
+
+    fn hello(faults: Option<FaultPlan>) -> Ctrl {
+        Ctrl::Hello(SessionHello {
+            version: PROTOCOL_VERSION,
+            seed: 1,
+            round_id: 7,
+            validate: true,
+            faults,
+        })
+    }
+
+    fn to_coordinator(msg: &Message) -> Envelope {
+        Envelope {
+            from: 3,
+            to: COORDINATOR,
+            sent_at: 0.5,
+            payload: msg.encode(),
+        }
+    }
+
+    #[test]
+    fn one_way_frames_the_fault_stage_could_alter_end_the_connection() {
+        let straggle_all = FaultPlan::new(
+            FaultRates {
+                straggle: 1.0,
+                ..FaultRates::none()
+            },
+            0,
+        )
+        .unwrap();
+        let report = to_coordinator(&Message::Report(Report {
+            nonce: 3,
+            body: ReportMessage {
+                task_id: 7,
+                reports: vec![(0, true)],
+            },
+        }));
+        let check_in = to_coordinator(&Message::Hello { round_id: 7 });
+        // The same frames on their legal paths: no error.
+        assert_eq!(
+            protocol_errors_after(&[
+                hello(Some(straggle_all)),
+                Ctrl::Env(report.clone()),
+                Ctrl::Post(check_in.clone()),
+                Ctrl::Redeliver(report.clone()),
+                Ctrl::Barrier,
+                Ctrl::Close,
+            ]),
+            0
+        );
+        // A report the straggle plan would delay may not bypass the stage.
+        assert_eq!(
+            protocol_errors_after(&[hello(Some(straggle_all)), Ctrl::Post(report.clone())]),
+            1
+        );
+        // Without a plan nothing can be altered, so the report may post.
+        assert_eq!(
+            protocol_errors_after(&[hello(None), Ctrl::Post(report), Ctrl::Close]),
+            0
+        );
+    }
+
+    #[test]
+    fn one_way_frames_and_barriers_before_hello_end_the_connection() {
+        let check_in = to_coordinator(&Message::Hello { round_id: 7 });
+        assert_eq!(protocol_errors_after(&[Ctrl::Post(check_in.clone())]), 1);
+        assert_eq!(protocol_errors_after(&[Ctrl::Redeliver(check_in)]), 1);
+        assert_eq!(protocol_errors_after(&[Ctrl::Barrier]), 1);
     }
 }

@@ -15,8 +15,8 @@
 //! accounting in the coordinator.
 
 use fednum_core::wire::{
-    push_varint, read_bytes, read_varint, BatchReportMessage, ReportMessage, ShuffleMessage,
-    WireError,
+    push_varint, read_bytes, read_varint, varint_len, BatchReportMessage, ReportMessage,
+    ShuffleMessage, WireError,
 };
 use fednum_fedsim::traffic::{Direction, TrafficPhase};
 
@@ -226,10 +226,11 @@ impl Message {
         }
     }
 
-    /// Encodes as `tag · body`.
+    /// Encodes as `tag · body`, into a buffer of exactly the encoded
+    /// size: transports may hold the frame for the whole round.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(16);
+        let mut out = Vec::with_capacity(self.encoded_len());
         self.encode_into(&mut out);
         out
     }
@@ -319,12 +320,53 @@ impl Message {
         }
     }
 
-    /// Encoded size in bytes.
+    /// Encoded size in bytes, computed without encoding (must agree with
+    /// [`Self::encode_into`]).
     #[must_use]
     pub fn encoded_len(&self) -> usize {
-        let mut buf = Vec::with_capacity(16);
-        self.encode_into(&mut buf);
-        buf.len()
+        let body = match self {
+            Message::Hello { round_id } => varint_len(*round_id),
+            Message::RoundConfig(c) => {
+                varint_len(c.round_id) + 2 + varint_len(c.threshold) + varint_len(c.vector_len)
+            }
+            Message::Report(r) => varint_len(r.nonce) + r.body.encoded_len(),
+            Message::KeyAdvertise(k) => varint_len(k.round_id) + 2 * PUBLIC_KEY_LEN,
+            Message::KeyShares(k) => {
+                varint_len(k.round_id)
+                    + varint_len(k.shares.len() as u64)
+                    + k.shares
+                        .iter()
+                        .map(|s| varint_len(s.recipient) + ENCRYPTED_SHARE_LEN)
+                        .sum::<usize>()
+            }
+            Message::MaskedInput(m) => {
+                varint_len(m.round_id)
+                    + varint_len(m.values.len() as u64)
+                    + m.values.iter().map(|&v| varint_len(v)).sum::<usize>()
+            }
+            Message::UnmaskShares(u) => {
+                varint_len(u.round_id)
+                    + varint_len(u.shares.len() as u64)
+                    + u.shares
+                        .iter()
+                        .map(|&(subject, share)| varint_len(subject) + varint_len(share))
+                        .sum::<usize>()
+            }
+            Message::Publish(p) => {
+                varint_len(p.round_id)
+                    + 8
+                    + varint_len(p.reports)
+                    + varint_len(p.feedback.len() as u64)
+                    + 8 * p.feedback.len()
+            }
+            Message::ConfigHeader(h) => {
+                varint_len(h.round_id) + 1 + varint_len(h.threshold) + varint_len(h.vector_len)
+            }
+            Message::AssignBit { .. } => 1,
+            Message::Shuffle(s) => s.encoded_len(),
+            Message::BatchReport(b) => varint_len(b.nonce) + b.body.encoded_len(),
+        };
+        1 + body
     }
 
     /// Decodes one message, requiring the buffer to be fully consumed.

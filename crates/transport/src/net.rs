@@ -38,6 +38,18 @@ pub const BROADCAST: u64 = u64::MAX - 1;
 /// address carry no (client, frame) linkage.
 pub const SHUFFLER: u64 = u64::MAX - 2;
 
+/// Whether a wire-fault stage running `faults` could alter `env` in
+/// flight — straggle, corrupt, duplicate, replay or drop it. Only client →
+/// [`COORDINATOR`] report frames are fault candidates, and only when a plan
+/// exists; every other frame is delivered verbatim at its send time. This
+/// is the one definition of "the fault stage cannot touch this frame":
+/// [`SimNetTransport`] uses it to skip the stage, and the socket relay
+/// (driver and daemon alike) to send such frames one-way.
+#[must_use]
+pub(crate) fn wire_may_alter(faults: Option<&FaultPlan>, env: &Envelope) -> bool {
+    faults.is_some() && env.to == COORDINATOR && env.payload.first() == Some(&TAG_REPORT)
+}
+
 /// A framed message in flight.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Envelope {
@@ -239,10 +251,12 @@ impl SimNetTransport {
     }
 
     /// Arrival time for a frame that straggles past the window deadline,
-    /// preserving relative send order among stragglers.
-    fn late(&self, sent_at: f64) -> f64 {
+    /// preserving relative send order among stragglers; `None` when no
+    /// finite time lies past the deadline (no window was opened), so the
+    /// straggler never arrives.
+    fn late(&self, sent_at: f64) -> Option<f64> {
         let at = self.deadline + (sent_at - self.window_start).max(0.0);
-        if at > self.deadline {
+        let at = if at > self.deadline {
             at
         } else {
             // A zero-delta straggler, or a delta below the deadline's ulp:
@@ -251,7 +265,8 @@ impl SimNetTransport {
             // coordinator's strict `at > deadline` check. Use the
             // scheduler's minimum tick instead.
             next_tick(self.deadline)
-        }
+        };
+        Some(at).filter(|t| t.is_finite())
     }
 }
 
@@ -266,11 +281,7 @@ impl Transport for SimNetTransport {
 
     #[allow(clippy::too_many_lines)]
     fn send(&mut self, env: Envelope) {
-        // Only client → coordinator report frames are fault candidates; all
-        // other traffic (configs, secure-aggregation rounds, publishes)
-        // passes through verbatim.
-        let is_report = env.to == COORDINATOR && env.payload.first() == Some(&TAG_REPORT);
-        let Some(plan) = self.faults.filter(|_| is_report) else {
+        let Some(plan) = self.faults.filter(|p| wire_may_alter(Some(p), &env)) else {
             let at = env.sent_at;
             self.deliver(at, env);
             return;
@@ -309,8 +320,9 @@ impl Transport for SimNetTransport {
                 if !self.validate {
                     self.last_report = Some((bit, value, nonce));
                 }
-                let at = self.late(env.sent_at);
-                self.deliver(at, env);
+                if let Some(at) = self.late(env.sent_at) {
+                    self.deliver(at, env);
+                }
             }
             Some(FaultKind::CorruptBit) => {
                 // Undetectable bit flip in transit.
@@ -488,6 +500,16 @@ mod tests {
             at > 2.0e9,
             "straggler must sort strictly after the deadline, got {at}"
         );
+    }
+
+    #[test]
+    fn straggler_without_a_window_never_arrives() {
+        // No finite time lies past the default deadline; the event queue
+        // must not be handed an infinite one.
+        let mut t = SimNetTransport::new(9);
+        t.faults = Some(plan_all(FaultKind::Straggle));
+        t.send(report_env(1, 0, true, 0, 0.1));
+        assert!(t.poll().is_none());
     }
 
     #[test]

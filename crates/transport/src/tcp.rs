@@ -1,11 +1,9 @@
 //! [`TcpTransport`]: the [`Transport`] trait over a real TCP socket.
 //!
 //! Every envelope a session sends is framed (length-delimited
-//! `core::wire` frames), written to a live socket, decoded and
-//! fault-staged by the [`daemon`](crate::daemon) on the far side, and
-//! echoed back as scheduled deliveries that the driver's local
-//! discrete-event queue then orders. The split of responsibilities is
-//! deliberate:
+//! `core::wire` frames), written to a live socket, and decoded and
+//! validated by the [`daemon`](crate::daemon) on the far side. The split
+//! of responsibilities is deliberate:
 //!
 //! * **the daemon owns the wire** — framing, codec validation, the
 //!   per-session [`SimNetTransport`](crate::net::SimNetTransport)-
@@ -13,33 +11,47 @@
 //!   corrupt / duplicate / replay with the replay register), read/idle
 //!   timeouts, and wire metrics;
 //! * **the driver owns the clock** — the same seeded [`EventQueue`] that
-//!   backs [`InMemoryTransport`](crate::net::InMemoryTransport) orders the
-//!   echoed deliveries, so tie-breaks, FIFO-per-stream order, and
-//!   therefore the published estimate are bit-identical to an in-process
-//!   run under the same seed.
+//!   backs [`InMemoryTransport`](crate::net::InMemoryTransport) orders
+//!   every delivery, so tie-breaks, FIFO-per-stream order, and therefore
+//!   the published estimate are bit-identical to an in-process run under
+//!   the same seed.
+//!
+//! **Two kinds of envelope frame.** A frame the fault stage could alter
+//! (`net::wire_may_alter`: a client → coordinator report under a fault
+//! plan)
+//! goes out as `Env`, and the daemon answers it with exactly one
+//! `Deliveries` frame carrying what the stage made of it (0, 1 or 2
+//! deliveries, possibly late). Every other frame — all of them in a
+//! fault-free session — goes out one-way as `Post` (or `Redeliver`): the
+//! stage would deliver it verbatim at its send time, so the driver
+//! schedules it on its own queue at send time and waits for nothing.
+//! Queue order is send order, as in `InMemoryTransport`: before a post is
+//! scheduled, deliveries owed for earlier `Env` frames are read back.
 //!
 //! **Parity contract.** For any session, `TcpTransport::connect(addr,
 //! seed)` is observationally identical to `InMemoryTransport::new(seed)`,
 //! and [`TcpTransport::connect_for_config`] to
 //! [`SimNetTransport::for_config`](crate::net::SimNetTransport::for_config)
-//! — every frame genuinely crosses the
-//! socket (encoded, fragmented by the kernel, reassembled, decoded,
-//! re-encoded) but arrives carrying the same payload at the same virtual
-//! time in the same order. The `tcp_parity` suite pins this across plain,
-//! secagg, salvage, and hierarchical rounds.
+//! — every frame genuinely crosses the socket (encoded, fragmented by the
+//! kernel, reassembled, decoded) and is delivered carrying the same
+//! payload at the same virtual time in the same order. The `tcp_parity`
+//! suite pins this across plain, secagg, salvage, and hierarchical
+//! rounds.
+//!
+//! **Acknowledgement and flow control.** The daemon handles a
+//! connection's frames in order, so any reply acknowledges every earlier
+//! frame. One-way frames that no owed reply covers are confirmed by a
+//! `Barrier` (answered with an empty `Deliveries`): once the unacknowledged
+//! bytes reach `SYNC_BYTES`, so neither peer's buffers — nor the daemon's
+//! frame decoder — grow without bound; and whenever the local queue runs
+//! dry, so a dead daemon surfaces before a session sees a drained
+//! timeline.
 //!
 //! **Failure semantics.** The [`Transport`] call surface is infallible, so
 //! socket errors (including read timeouts) are recorded internally: the
 //! session drains as if the network went silent, and the driver surfaces
 //! the typed [`FedError::Transport`] via [`Transport::take_error`] — the
 //! [`RoundBuilder`](crate::builder::RoundBuilder) does this automatically.
-//!
-//! Sends are pipelined: envelopes are buffered and flushed in batches
-//! (bounded by `SYNC_BYTES`/`SYNC_FRAMES` so neither peer's socket
-//! buffer can fill while the other is still writing), and the matching
-//! delivery batches are read back before the next poll. One socket
-//! round-trip therefore covers many frames, which is what makes loopback
-//! throughput land well above the `bench_tcp` gate.
 
 use std::cell::RefCell;
 use std::io::{BufReader, BufWriter, Write};
@@ -47,23 +59,24 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use fednum_core::wire::{
-    self, push_f64, read_f64, read_varint, CampaignMessage, FleetMessage, WireError,
+    self, push_f64, read_f64, read_varint, varint_len, CampaignMessage, FleetMessage, WireError,
 };
 use fednum_fedsim::error::FedError;
 use fednum_fedsim::faults::{FaultPlan, FaultRates};
 use fednum_fedsim::round::FederatedMeanConfig;
 
-use crate::net::{Envelope, Transport, WireMetrics};
+use crate::net::{wire_may_alter, Envelope, Transport, WireMetrics};
 use crate::scheduler::EventQueue;
 
 /// Wire-protocol version carried in the session handshake.
 pub const PROTOCOL_VERSION: u64 = 1;
 
-/// Flush-and-drain once this many encoded bytes are in flight unacked:
-/// echoes are roughly request-sized, so this bounds the daemon's pending
-/// response bytes far below any platform's socket buffers.
+/// Sync (barrier, flush, read every owed reply) once this many encoded
+/// bytes are unacknowledged: bounds both the daemon's buffered input and
+/// its pending reply bytes (replies are at most request-sized) far below
+/// any platform's socket buffers.
 const SYNC_BYTES: usize = 16 * 1024;
-/// Flush-and-drain once this many envelope frames are in flight unacked.
+/// Sync once this many `Env` replies are owed.
 const SYNC_FRAMES: usize = 256;
 
 /// Default driver-side read timeout: how long a poll waits on the daemon
@@ -83,6 +96,8 @@ const TAG_SHUTDOWN: u8 = 0x06;
 const TAG_CAMPAIGN: u8 = 0x07;
 const TAG_ROUND_REQUEST: u8 = 0x08;
 const TAG_ROUND_COMMIT: u8 = 0x09;
+const TAG_POST: u8 = 0x0A;
+const TAG_BARRIER: u8 = 0x0B;
 const TAG_HELLO_ACK: u8 = 0x11;
 const TAG_DELIVERIES: u8 = 0x12;
 const TAG_STATS: u8 = 0x13;
@@ -109,9 +124,10 @@ pub(crate) struct SessionHello {
 /// Per-connection wire totals the daemon reports back on `Close`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SessionStats {
-    /// Envelope frames the daemon accepted from this driver.
+    /// Control frames the daemon accepted from this driver.
     pub frames_in: u64,
-    /// Delivery frames the daemon echoed back.
+    /// Control frames the daemon sent back (handshake ack, `Deliveries`
+    /// echoes and barrier replies).
     pub frames_out: u64,
     /// Encoded bytes received by the daemon, framing included.
     pub bytes_in: u64,
@@ -123,14 +139,24 @@ pub struct SessionStats {
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum Ctrl {
     Hello(SessionHello),
-    /// An envelope for the fault stage (driver → daemon).
+    /// An envelope for the fault stage (driver → daemon); answered by
+    /// exactly one `Deliveries` frame.
     Env(Envelope),
+    /// An envelope the fault stage cannot alter (see
+    /// [`wire_may_alter`]): the driver schedules it itself at send time,
+    /// the daemon validates it and sends no reply.
+    Post(Envelope),
+    /// Asks for an empty `Deliveries` reply. The daemon handles a
+    /// connection's frames in order, so the reply acknowledges every
+    /// earlier frame — one-way ones included.
+    Barrier,
     /// A collection window announcement (no response).
     Window {
         start: f64,
         deadline: f64,
     },
-    /// A parked frame re-admitted verbatim, bypassing the fault stage.
+    /// A parked frame re-admitted verbatim, bypassing the fault stage;
+    /// one-way like `Post`.
     Redeliver(Envelope),
     Close,
     Shutdown,
@@ -153,7 +179,8 @@ pub(crate) enum Ctrl {
     HelloAck {
         session_id: u64,
     },
-    /// Scheduled deliveries for exactly one `Env`/`Redeliver` frame.
+    /// Scheduled deliveries for exactly one `Env` frame (empty for a
+    /// `Barrier`).
     Deliveries(Vec<(f64, Envelope)>),
     Stats(SessionStats),
     ShutdownAck,
@@ -197,10 +224,31 @@ fn push_env(out: &mut Vec<u8>, env: &Envelope) {
     out.extend_from_slice(&env.payload);
 }
 
+/// `tag · envelope`, allocated at its exact size.
+fn envelope_frame(tag: u8, env: &Envelope) -> Vec<u8> {
+    let len = 1
+        + varint_len(env.from)
+        + varint_len(env.to)
+        + 8
+        + varint_len(env.payload.len() as u64)
+        + env.payload.len();
+    let mut out = Vec::with_capacity(len);
+    out.push(tag);
+    push_env(&mut out, env);
+    out
+}
+
+/// A virtual time off the wire: the event queue accepts finite times only.
+fn read_time(buf: &[u8], pos: &mut usize) -> Result<f64, WireError> {
+    Some(read_f64(buf, pos)?)
+        .filter(|t| t.is_finite())
+        .ok_or(WireError::InvalidField("virtual time"))
+}
+
 fn read_env(buf: &[u8], pos: &mut usize) -> Result<Envelope, WireError> {
     let from = read_varint(buf, pos)?;
     let to = read_varint(buf, pos)?;
-    let sent_at = read_f64(buf, pos)?;
+    let sent_at = read_time(buf, pos)?;
     let len = usize::try_from(read_varint(buf, pos)?).map_err(|_| WireError::Truncated)?;
     if len > buf.len().saturating_sub(*pos) {
         return Err(WireError::Truncated);
@@ -299,19 +347,15 @@ impl Ctrl {
                     None => out.push(0),
                 }
             }
-            Ctrl::Env(env) => {
-                out.push(TAG_ENV);
-                push_env(&mut out, env);
-            }
+            Ctrl::Env(env) => return envelope_frame(TAG_ENV, env),
+            Ctrl::Post(env) => return envelope_frame(TAG_POST, env),
+            Ctrl::Barrier => out.push(TAG_BARRIER),
             Ctrl::Window { start, deadline } => {
                 out.push(TAG_WINDOW);
                 push_f64(&mut out, *start);
                 push_f64(&mut out, *deadline);
             }
-            Ctrl::Redeliver(env) => {
-                out.push(TAG_REDELIVER);
-                push_env(&mut out, env);
-            }
+            Ctrl::Redeliver(env) => return envelope_frame(TAG_REDELIVER, env),
             Ctrl::Close => out.push(TAG_CLOSE),
             Ctrl::Shutdown => out.push(TAG_SHUTDOWN),
             Ctrl::Campaign(msg) => {
@@ -435,9 +479,11 @@ impl Ctrl {
                 })
             }
             TAG_ENV => Ctrl::Env(read_env(buf, &mut pos)?),
+            TAG_POST => Ctrl::Post(read_env(buf, &mut pos)?),
+            TAG_BARRIER => Ctrl::Barrier,
             TAG_WINDOW => Ctrl::Window {
-                start: read_f64(buf, &mut pos)?,
-                deadline: read_f64(buf, &mut pos)?,
+                start: read_time(buf, &mut pos)?,
+                deadline: read_time(buf, &mut pos)?,
             },
             TAG_REDELIVER => Ctrl::Redeliver(read_env(buf, &mut pos)?),
             TAG_CLOSE => Ctrl::Close,
@@ -491,7 +537,7 @@ impl Ctrl {
                 }
                 let mut items = Vec::with_capacity(count);
                 for _ in 0..count {
-                    let at = read_f64(buf, &mut pos)?;
+                    let at = read_time(buf, &mut pos)?;
                     items.push((at, read_env(buf, &mut pos)?));
                 }
                 Ctrl::Deliveries(items)
@@ -569,11 +615,15 @@ struct Inner {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
     queue: EventQueue<Envelope>,
-    /// `Env`/`Redeliver` frames written but whose `Deliveries` response has
-    /// not been read back yet.
+    /// `Env`/`Barrier` frames written whose `Deliveries` reply has not
+    /// been read back yet.
     outstanding: usize,
-    /// Encoded bytes written since the last flush-and-drain.
-    unsynced_bytes: usize,
+    /// Encoded bytes written since the daemon last acknowledged every
+    /// frame on the connection: the flow-control window.
+    unacked_bytes: usize,
+    /// A one-way frame was written after the last frame that owes a
+    /// reply, so only a `Barrier` can acknowledge it.
+    one_way_pending: bool,
     metrics: WireMetrics,
     error: Option<FedError>,
 }
@@ -589,7 +639,8 @@ impl Inner {
             writer: BufWriter::new(stream),
             queue: EventQueue::new(hello.seed),
             outstanding: 0,
-            unsynced_bytes: 0,
+            unacked_bytes: 0,
+            one_way_pending: false,
             metrics: WireMetrics::default(),
             error: None,
         };
@@ -754,15 +805,16 @@ impl TcpTransport {
             .set_read_timeout(timeout)
     }
 
-    /// Closes the session: drains in-flight echoes, then exchanges
-    /// `Close` for the daemon's per-session wire totals.
+    /// Closes the session: drains owed replies, then exchanges `Close` for
+    /// the daemon's per-session wire totals (the reply also acknowledges
+    /// every one-way frame).
     ///
     /// # Errors
     /// [`FedError::Transport`] if the session already failed or the
     /// close handshake does.
     pub fn close(self) -> Result<SessionStats, FedError> {
         let mut inner = self.inner.into_inner();
-        sync(&mut inner);
+        drain_replies(&mut inner);
         if let Some(e) = inner.error.take() {
             return Err(e);
         }
@@ -923,12 +975,13 @@ impl TcpTransport {
     }
 
     /// Synchronous request/reply for the campaign control frames: drains any
-    /// in-flight deliveries first so replies can't interleave, then writes
-    /// one frame and reads exactly one back. A `CampaignErr` reply becomes a
-    /// typed error but leaves the connection usable.
+    /// owed replies first so replies can't interleave, then writes one
+    /// frame and reads exactly one back (which also acknowledges every
+    /// one-way frame). A `CampaignErr` reply becomes a typed error but
+    /// leaves the connection usable.
     fn exchange(&mut self, ctrl: &Ctrl) -> Result<Ctrl, FedError> {
         let inner = self.inner.get_mut();
-        sync(inner);
+        drain_replies(inner);
         if let Some(e) = inner.error.take() {
             return Err(e);
         }
@@ -951,6 +1004,8 @@ impl TcpTransport {
             })?;
         inner.metrics.frames_received += 1;
         inner.metrics.bytes_received += wire::frame_len(reply.len()) as u64;
+        inner.unacked_bytes = 0;
+        inner.one_way_pending = false;
         match Ctrl::decode(&reply) {
             Ok(Ctrl::CampaignErr { code, detail }) => Err(FedError::Transport {
                 op: "campaign",
@@ -961,28 +1016,6 @@ impl TcpTransport {
                 op: "read",
                 detail: format!("bad campaign reply: {e}"),
             }),
-        }
-    }
-
-    fn write_ctrl(&mut self, ctrl: &Ctrl, expects_reply: bool) {
-        let inner = self.inner.get_mut();
-        if inner.error.is_some() {
-            return;
-        }
-        let frame = ctrl.encode();
-        let len = wire::frame_len(frame.len());
-        if let Err(e) = wire::write_frame(&mut inner.writer, &frame) {
-            fail(inner, "write", &e);
-            return;
-        }
-        inner.metrics.frames_sent += 1;
-        inner.metrics.bytes_sent += len as u64;
-        inner.unsynced_bytes += len;
-        if expects_reply {
-            inner.outstanding += 1;
-        }
-        if inner.unsynced_bytes >= SYNC_BYTES || inner.outstanding >= SYNC_FRAMES {
-            sync(inner);
         }
     }
 }
@@ -1001,26 +1034,70 @@ fn fail(inner: &mut Inner, op: &'static str, e: &std::io::Error) {
             detail: e.to_string(),
         });
     }
-    // The stream is unrecoverable; stop waiting on echoes that will never
+    // The stream is unrecoverable; stop waiting on replies that will never
     // arrive so the session drains instead of spinning.
     inner.outstanding = 0;
-    inner.unsynced_bytes = 0;
+    inner.unacked_bytes = 0;
+    inner.one_way_pending = false;
 }
 
-/// Flushes buffered sends and reads back one `Deliveries` frame per
-/// outstanding envelope, scheduling every echoed delivery on the local
-/// queue. On failure the typed error is recorded and the transport goes
-/// silent (see module docs).
-fn sync(inner: &mut Inner) {
+/// Writes one encoded control frame, without any window check. A frame
+/// that owes a reply acknowledges, through that reply, every one-way
+/// frame written before it.
+fn put_frame(inner: &mut Inner, owes_reply: bool, frame: &[u8]) {
     if inner.error.is_some() {
         return;
     }
-    if inner.unsynced_bytes > 0 {
-        if let Err(e) = inner.writer.flush() {
-            fail(inner, "write", &e);
-            return;
-        }
-        inner.unsynced_bytes = 0;
+    let len = wire::frame_len(frame.len());
+    if let Err(e) = wire::write_frame(&mut inner.writer, frame) {
+        fail(inner, "write", &e);
+        return;
+    }
+    inner.metrics.frames_sent += 1;
+    inner.metrics.bytes_sent += len as u64;
+    inner.unacked_bytes += len;
+    if owes_reply {
+        inner.outstanding += 1;
+    }
+    inner.one_way_pending = !owes_reply;
+}
+
+/// [`put_frame`], then a sync once the window is full, so neither peer's
+/// buffers — nor the daemon's frame decoder — grow without bound.
+fn send_frame(inner: &mut Inner, owes_reply: bool, frame: &[u8]) {
+    put_frame(inner, owes_reply, frame);
+    if inner.unacked_bytes >= SYNC_BYTES || inner.outstanding >= SYNC_FRAMES {
+        sync(inner);
+    }
+}
+
+/// Sends `env` one-way under `tag` (`Post` or `Redeliver`) and schedules
+/// it on the local queue at its send time, exactly where the daemon's
+/// fault stage would have echoed it.
+fn post(inner: &mut Inner, tag: u8, env: Envelope) {
+    // Deliveries owed for earlier `Env` frames go on the queue first:
+    // queue order is send order, as in `InMemoryTransport`, so a
+    // same-stream, same-time pair pops in the order it was sent.
+    if inner.outstanding > 0 {
+        drain_replies(inner);
+    }
+    send_frame(inner, false, &envelope_frame(tag, &env));
+    if inner.error.is_none() {
+        inner.queue.push(env.sent_at, env.from, env);
+    }
+}
+
+/// Flushes buffered sends and reads back every owed `Deliveries` reply,
+/// scheduling the echoed deliveries on the local queue. On failure the
+/// typed error is recorded and the transport goes silent (see module
+/// docs).
+fn drain_replies(inner: &mut Inner) {
+    if inner.error.is_some() {
+        return;
+    }
+    if let Err(e) = inner.writer.flush() {
+        fail(inner, "write", &e);
+        return;
     }
     while inner.outstanding > 0 {
         let frame = match wire::read_frame(&mut inner.reader) {
@@ -1055,36 +1132,65 @@ fn sync(inner: &mut Inner) {
             }
         }
     }
+    if !inner.one_way_pending {
+        inner.unacked_bytes = 0;
+    }
+}
+
+/// [`drain_replies`] after a `Barrier` if a one-way frame is
+/// unacknowledged: on return the daemon has accepted every frame written,
+/// or the typed error is latched.
+fn sync(inner: &mut Inner) {
+    if inner.one_way_pending {
+        put_frame(inner, true, &Ctrl::Barrier.encode());
+    }
+    drain_replies(inner);
+}
+
+/// Called before the local queue is read. An owed reply may schedule a
+/// delivery ahead of the queue's head, so it is read first; and a drained
+/// queue must not hide a dead daemon, so unacknowledged one-way frames
+/// are confirmed before the session can see an empty timeline.
+fn settle(inner: &mut Inner) {
+    if inner.outstanding > 0 || (inner.one_way_pending && inner.queue.is_empty()) {
+        sync(inner);
+    }
 }
 
 impl Transport for TcpTransport {
     fn send(&mut self, env: Envelope) {
-        self.write_ctrl(&Ctrl::Env(env), true);
+        let inner = self.inner.get_mut();
+        if wire_may_alter(self.hello.faults.as_ref(), &env) {
+            send_frame(inner, true, &envelope_frame(TAG_ENV, &env));
+        } else {
+            post(inner, TAG_POST, env);
+        }
     }
 
     fn poll(&mut self) -> Option<(f64, Envelope)> {
         let inner = self.inner.get_mut();
-        sync(inner);
+        settle(inner);
         inner.queue.pop().map(|s| (s.time, s.item))
     }
 
     fn peek_time(&self) -> Option<f64> {
         let mut inner = self.inner.borrow_mut();
-        sync(&mut inner);
+        settle(&mut inner);
         inner.queue.peek_time()
     }
 
     fn open_window(&mut self, start: f64, deadline: f64) {
-        self.write_ctrl(&Ctrl::Window { start, deadline }, false);
+        let frame = Ctrl::Window { start, deadline }.encode();
+        send_frame(self.inner.get_mut(), false, &frame);
     }
 
     fn redeliver(&mut self, env: Envelope) {
-        self.write_ctrl(&Ctrl::Redeliver(env), true);
+        post(self.inner.get_mut(), TAG_REDELIVER, env);
     }
 
     fn idle(&self) -> bool {
         let mut inner = self.inner.borrow_mut();
-        sync(&mut inner);
+        settle(&mut inner);
         inner.queue.is_empty()
     }
 
@@ -1135,6 +1241,9 @@ mod tests {
                 faults: None,
             }),
             Ctrl::Env(env(3, 1.5, vec![1, 2, 3])),
+            Ctrl::Post(env(4, 2.5, vec![0, 7])),
+            Ctrl::Post(env(0, 0.0, vec![])),
+            Ctrl::Barrier,
             Ctrl::Window {
                 start: 0.0,
                 deadline: 2.5,
@@ -1296,9 +1405,27 @@ mod tests {
         assert_eq!(Ctrl::decode(&[]), Err(WireError::Truncated));
         assert_eq!(Ctrl::decode(&[0x7F]), Err(WireError::UnknownTag(0x7F)));
         // Truncated envelope body.
-        let mut bytes = Ctrl::Env(env(1, 0.5, vec![1, 2, 3])).encode();
-        bytes.truncate(bytes.len() - 1);
-        assert_eq!(Ctrl::decode(&bytes), Err(WireError::Truncated));
+        for frame in [
+            Ctrl::Env(env(1, 0.5, vec![1, 2, 3])),
+            Ctrl::Post(env(1, 0.5, vec![1, 2, 3])),
+        ] {
+            let mut bytes = frame.encode();
+            bytes.truncate(bytes.len() - 1);
+            assert_eq!(Ctrl::decode(&bytes), Err(WireError::Truncated));
+        }
+        // Non-finite virtual times would panic the event queue.
+        for frame in [
+            Ctrl::Post(env(1, f64::NAN, vec![])),
+            Ctrl::Window {
+                start: 0.0,
+                deadline: f64::INFINITY,
+            },
+        ] {
+            assert_eq!(
+                Ctrl::decode(&frame.encode()),
+                Err(WireError::InvalidField("virtual time"))
+            );
+        }
         // Trailing garbage.
         let mut bytes = Ctrl::Close.encode();
         bytes.push(0);
