@@ -50,6 +50,25 @@ anchor --release --offline -p fednum-transport --test proptest_messages \
     regression_batch_noncanonical_padding_rejected
 anchor --release --offline -p fednum-transport --test proptest_messages \
     regression_batch_slot_in_two_planes_rejected
+# In-place metering: `Message::check` must give `Message::decode`'s verdict
+# (phase and direction, or the same error) on every sample frame, each of
+# its truncations, a trailing byte, and seeded mutations and inflated counts.
+anchor --release --offline -p fednum-transport --test proptest_messages \
+    check_agrees_with_decode_on_every_sample_truncation_and_mutation
+# Streamed secure-aggregation frames: the in-place builders encode the same
+# bytes as `Message::encode`, a seeded 2,000-client attempt bills the golden
+# per-phase ledger, and it never holds more than `DRAIN_EVERY` frames
+# sent but unmetered.
+anchor --release --offline -p fednum-transport --lib \
+    message::tests::in_place_builders_match_encode
+anchor --release --offline -p fednum-transport --lib \
+    coordinator::tests::secagg_attempt_ledger_matches_the_golden_constants
+anchor --release --offline -p fednum-transport --lib \
+    coordinator::tests::secagg_attempt_holds_at_most_drain_every_frames_in_flight
+# A reply too large to frame ends that connection, not the daemon: the next
+# connection must still complete its handshake.
+anchor --release --offline -p fednum-transport --lib \
+    daemon::tests::oversized_reply_ends_the_connection_not_the_daemon
 PROPTEST_CASES=1 cargo test --release --offline -p fednum-transport \
     --test proptest_messages encode_decode_identity
 # Straggler-salvage regression anchor: a pinned seed that must keep

@@ -76,7 +76,8 @@ pub fn push_varint(out: &mut Vec<u8>, mut v: u64) {
 /// `v` as a varint on the stack: the buffer and the used length. For
 /// sinks that are not a `Vec`; [`push_varint`] stays a plain byte push,
 /// which is measurably faster on the codec's hot path.
-fn varint_bytes(mut v: u64) -> ([u8; 10], usize) {
+#[must_use]
+pub fn varint_bytes(mut v: u64) -> ([u8; 10], usize) {
     let mut bytes = [0u8; 10];
     let mut n = 0;
     loop {
@@ -164,15 +165,26 @@ pub fn frame_len(payload_len: usize) -> usize {
 /// Propagates the sink's I/O error; `InvalidInput` when `payload` exceeds
 /// [`MAX_FRAME_LEN`] (such a frame could never be read back).
 pub fn write_frame<W: Write + ?Sized>(w: &mut W, payload: &[u8]) -> io::Result<()> {
-    if payload.len() > MAX_FRAME_LEN {
+    write_frame_parts(w, &[payload])
+}
+
+/// [`write_frame`] for a payload in pieces: one frame whose payload is
+/// `parts` concatenated, written without joining them first (a header
+/// built on the stack, then a body written where it already lies).
+///
+/// # Errors
+/// As [`write_frame`].
+pub fn write_frame_parts<W: Write + ?Sized>(w: &mut W, parts: &[&[u8]]) -> io::Result<()> {
+    let len: usize = parts.iter().map(|part| part.len()).sum();
+    if len > MAX_FRAME_LEN {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
             WireError::InvalidField("frame length"),
         ));
     }
-    let (header, n) = varint_bytes(payload.len() as u64);
+    let (header, n) = varint_bytes(len as u64);
     w.write_all(&header[..n])?;
-    w.write_all(payload)
+    parts.iter().try_for_each(|part| w.write_all(part))
 }
 
 /// Reads one length-delimited frame from a blocking byte source, returning
@@ -359,6 +371,22 @@ impl ReportMessage {
         Ok(Self { task_id, reports })
     }
 
+    /// Validates a message starting at `*pos` in place, advancing `*pos`
+    /// past it: accepts exactly what [`Self::decode_from`] accepts, with
+    /// the same error, and allocates nothing.
+    ///
+    /// # Errors
+    /// See [`WireError`].
+    pub fn check_from(buf: &[u8], pos: &mut usize) -> Result<(), WireError> {
+        read_varint(buf, pos)?;
+        let count = read_varint(buf, pos)? as usize;
+        if count > buf.len().saturating_sub(*pos) {
+            return Err(WireError::Truncated);
+        }
+        *pos += count;
+        read_bytes(buf, pos, count.div_ceil(8)).map(drop)
+    }
+
     /// Encoded size in bytes.
     #[must_use]
     pub fn encoded_len(&self) -> usize {
@@ -473,6 +501,65 @@ impl BatchReportMessage {
         let planes = BitPlanes::from_words(bits, slots, occupancy, value)
             .map_err(WireError::InvalidField)?;
         Ok(Self { task_id, planes })
+    }
+
+    /// Validates a message starting at `*pos` in place, advancing `*pos`
+    /// past it: accepts exactly what [`Self::decode_from`] accepts, with
+    /// the same error — the canonical-plane checks of
+    /// [`BitPlanes::from_words`] run over the frame's words where they lie
+    /// — and allocates nothing.
+    ///
+    /// # Errors
+    /// See [`WireError`].
+    pub fn check_from(buf: &[u8], pos: &mut usize) -> Result<(), WireError> {
+        read_varint(buf, pos)?;
+        let slots_raw = read_varint(buf, pos)?;
+        let bits_raw = read_varint(buf, pos)?;
+        if bits_raw == 0 || bits_raw > MAX_BATCH_BITS {
+            return Err(WireError::InvalidField("batch bit width"));
+        }
+        let bits = bits_raw as usize;
+        let slots =
+            usize::try_from(slots_raw).map_err(|_| WireError::InvalidField("batch slot count"))?;
+        let words = slots.div_ceil(64);
+        let payload = bits
+            .checked_mul(words)
+            .and_then(|w| w.checked_mul(16))
+            .ok_or(WireError::InvalidField("batch slot count"))?;
+        if payload > buf.len().saturating_sub(*pos) {
+            return Err(WireError::Truncated);
+        }
+        let body = read_bytes(buf, pos, payload)?;
+        // Plane `j` is `words` occupancy words, then `words` value words.
+        let word = |k: usize| {
+            let mut raw = [0u8; 8];
+            raw.copy_from_slice(&body[8 * k..8 * k + 8]);
+            u64::from_le_bytes(raw)
+        };
+        let occupancy = |j: usize, w: usize| word(2 * j * words + w);
+        let value = |j: usize, w: usize| word((2 * j + 1) * words + w);
+        if !slots.is_multiple_of(64) && words > 0 {
+            let pad = !0u64 << (slots % 64);
+            if (0..bits).any(|j| (occupancy(j, words - 1) | value(j, words - 1)) & pad != 0) {
+                return Err(WireError::InvalidField(
+                    "padding bits set past the slot count",
+                ));
+            }
+        }
+        if (0..bits).any(|j| (0..words).any(|w| value(j, w) & !occupancy(j, w) != 0)) {
+            return Err(WireError::InvalidField("value bit outside occupancy"));
+        }
+        for w in 0..words {
+            let mut filled = 0u64;
+            for j in 0..bits {
+                let o = occupancy(j, w);
+                if filled & o != 0 {
+                    return Err(WireError::InvalidField("slot occupied on two planes"));
+                }
+                filled |= o;
+            }
+        }
+        Ok(())
     }
 
     /// Encoded size in bytes.
@@ -1013,6 +1100,41 @@ impl ShuffleMessage {
                     entries.push((bit_index, read_bit(buf, pos)?));
                 }
                 Ok(ShuffleMessage::Batch { round_id, entries })
+            }
+            other => Err(WireError::UnknownTag(other)),
+        }
+    }
+
+    /// Validates a frame starting at `*pos` in place, advancing `*pos`
+    /// past it: accepts exactly what [`Self::decode_from`] accepts, with
+    /// the same error, and allocates nothing.
+    ///
+    /// # Errors
+    /// See [`WireError`].
+    pub fn check_from(buf: &[u8], pos: &mut usize) -> Result<(), WireError> {
+        fn check_bit(buf: &[u8], pos: &mut usize) -> Result<(), WireError> {
+            match read_bytes(buf, pos, 1)?[0] {
+                0 | 1 => Ok(()),
+                _ => Err(WireError::InvalidField("shuffle bit")),
+            }
+        }
+        match read_bytes(buf, pos, 1)?[0] {
+            SHUFFLE_TAG_SUBMIT => {
+                read_varint(buf, pos)?;
+                read_bytes(buf, pos, 1)?;
+                check_bit(buf, pos)
+            }
+            SHUFFLE_TAG_BATCH => {
+                read_varint(buf, pos)?;
+                let count = read_varint(buf, pos)? as usize;
+                if count > buf.len().saturating_sub(*pos) / 2 {
+                    return Err(WireError::InvalidField("batch entry count"));
+                }
+                for _ in 0..count {
+                    read_bytes(buf, pos, 1)?;
+                    check_bit(buf, pos)?;
+                }
+                Ok(())
             }
             other => Err(WireError::UnknownTag(other)),
         }

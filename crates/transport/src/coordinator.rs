@@ -46,7 +46,15 @@
 //! is tallied per phase and direction at delivery into
 //! [`TrafficStats`], surfaced on `RobustnessReport::traffic`. Frames a fault
 //! destroys before delivery (a replay with nothing to replay) are never
-//! counted — the server cannot bill what never arrived.
+//! counted — the server cannot bill what never arrived. Metering validates
+//! each frame in place with [`Message::check`] (the same verdict as a
+//! decode, no allocation). The secure-aggregation stand-in traffic, ~4
+//! frames and ~4 KB per client, streams: each frame is built in place at
+//! its exact size and deliveries are metered every `DRAIN_EVERY` sends,
+//! so an attempt holds at most that many frames whatever the cohort size,
+//! and a socket-backed transport pays one barrier round trip per chunk,
+//! not per frame. The ledger is an order-free sum, so it is identical to
+//! metering once per attempt.
 
 use fednum_core::accumulator::BitAccumulator;
 use fednum_core::bits::{bit, BitPlanes};
@@ -72,8 +80,8 @@ use fednum_fedsim::traffic::{Direction, TrafficPhase, TrafficStats};
 use fednum_fedsim::validation::{RejectionCounts, ReportValidator};
 
 use crate::message::{
-    BatchReport, ConfigHeader, EncryptedShare, KeyAdvertise, KeyShares, MaskedInput, Message,
-    Publish, Report, RoundConfig, UnmaskShares, ENCRYPTED_SHARE_LEN, PUBLIC_KEY_LEN,
+    BatchReport, ConfigHeader, KeyAdvertise, KeyShares, MaskedInput, Message, Publish, Report,
+    RoundConfig, UnmaskShares, PUBLIC_KEY_LEN,
 };
 use crate::net::{Envelope, Transport, BROADCAST, COORDINATOR};
 use crate::scheduler::mix;
@@ -1317,9 +1325,51 @@ pub(crate) fn debias_sums(
 /// Fills `out` with hash-derived bytes from `seed` (key/ciphertext
 /// stand-ins: content is irrelevant, size is what's accounted).
 pub(crate) fn fill_derived(out: &mut [u8], seed: u64) {
-    for (i, chunk) in out.chunks_mut(8).enumerate() {
-        let word = mix(seed.wrapping_add(i as u64)).to_le_bytes();
-        chunk.copy_from_slice(&word[..chunk.len()]);
+    let mut words = out.chunks_exact_mut(8);
+    let mut i = 0;
+    for word in &mut words {
+        word.copy_from_slice(&mix(seed.wrapping_add(i)).to_le_bytes());
+        i += 1;
+    }
+    let tail = words.into_remainder();
+    if !tail.is_empty() {
+        tail.copy_from_slice(&mix(seed.wrapping_add(i)).to_le_bytes()[..tail.len()]);
+    }
+}
+
+/// Frames a secure-aggregation attempt sends between two meterings: the
+/// most sent-but-unpolled frames it ever holds. Metering after every send
+/// would cost a socket-backed transport a `Barrier` round trip per frame
+/// (a poll that empties its queue confirms the window); metering once per
+/// attempt held all ~4n frames of the cohort in memory at once.
+pub(crate) const DRAIN_EVERY: usize = 256;
+
+/// Sends frames and meters their deliveries every [`DRAIN_EVERY`] sends.
+/// [`TrafficStats`] is an order-free sum, so the ledger equals metering
+/// everything once at the end.
+struct MeteredSends<'a> {
+    transport: &'a mut dyn Transport,
+    traffic: &'a mut TrafficStats,
+    unpolled: usize,
+}
+
+impl MeteredSends<'_> {
+    fn send(&mut self, from: u64, sent_at: f64, payload: Vec<u8>) {
+        self.transport.send(Envelope {
+            from,
+            to: COORDINATOR,
+            sent_at,
+            payload,
+        });
+        self.unpolled += 1;
+        if self.unpolled == DRAIN_EVERY {
+            self.drain();
+        }
+    }
+
+    fn drain(&mut self) {
+        drain_counting(self.transport, self.traffic);
+        self.unpolled = 0;
     }
 }
 
@@ -1329,6 +1379,11 @@ pub(crate) fn fill_derived(out: &mut [u8], seed: u64) {
 /// hash-derived stand-in material — the aggregation math itself runs in
 /// `fednum-secagg` — but every message count and byte matches what the
 /// cohort would send.
+///
+/// The attempt streams: each frame is built in place in a buffer of its
+/// exact size (no intermediate share or value vectors), and deliveries are
+/// metered every [`DRAIN_EVERY`] sends, so at most that many frames are in
+/// flight at once whatever the cohort size.
 #[allow(clippy::too_many_arguments)]
 fn secagg_attempt_messages(
     transport: &mut dyn Transport,
@@ -1347,6 +1402,11 @@ fn secagg_attempt_messages(
         seq += 1;
         t0 + seq as f64 * STEP
     };
+    let mut out = MeteredSends {
+        transport,
+        traffic,
+        unpolled: 0,
+    };
     // Round 0 — key exchange: every cohort member advertises both keys.
     for (i, &c) in members.iter().enumerate() {
         let seed = mix(session ^ (i as u64).wrapping_mul(0x9E6C_63D0_876A_68DE));
@@ -1354,37 +1414,22 @@ fn secagg_attempt_messages(
         let mut mask_pk = [0u8; PUBLIC_KEY_LEN];
         fill_derived(&mut kem_pk, seed);
         fill_derived(&mut mask_pk, mix(seed));
-        transport.send(Envelope {
-            from: c,
-            to: COORDINATOR,
-            sent_at: next_at(),
-            payload: Message::KeyAdvertise(KeyAdvertise {
-                round_id,
-                kem_pk,
-                mask_pk,
-            })
-            .encode(),
-        });
+        let frame = Message::KeyAdvertise(KeyAdvertise {
+            round_id,
+            kem_pk,
+            mask_pk,
+        })
+        .encode();
+        out.send(c, next_at(), frame);
     }
     // Round 1 — key exchange: encrypted Shamir shares, one per ring
     // neighbor, relayed through the coordinator.
     for (i, &c) in members.iter().enumerate() {
-        let shares: Vec<EncryptedShare> = (0..degree)
-            .map(|d| {
-                let mut ct = [0u8; ENCRYPTED_SHARE_LEN];
-                fill_derived(&mut ct, mix(session ^ (i as u64) << 20 ^ d as u64));
-                EncryptedShare {
-                    recipient: members[(i + d + 1) % n],
-                    ct,
-                }
-            })
-            .collect();
-        transport.send(Envelope {
-            from: c,
-            to: COORDINATOR,
-            sent_at: next_at(),
-            payload: Message::KeyShares(KeyShares { round_id, shares }).encode(),
+        let recipients = (0..degree).map(|d| members[(i + d + 1) % n]);
+        let frame = KeyShares::frame(round_id, recipients, |d, ct| {
+            fill_derived(ct, mix(session ^ (i as u64) << 20 ^ d as u64));
         });
+        out.send(c, next_at(), frame);
     }
     // Round 2 — masking: clients still alive upload masked inputs
     // (uniform field elements, ≈ 9 varint bytes each).
@@ -1392,15 +1437,8 @@ fn secagg_attempt_messages(
         if plan.before_masking.contains(&i) {
             continue;
         }
-        let values: Vec<u64> = (0..vector_len)
-            .map(|v| mix(session ^ (i as u64) << 24 ^ v as u64) & MASK61)
-            .collect();
-        transport.send(Envelope {
-            from: c,
-            to: COORDINATOR,
-            sent_at: next_at(),
-            payload: Message::MaskedInput(MaskedInput { round_id, values }).encode(),
-        });
+        let values = (0..vector_len).map(|v| mix(session ^ (i as u64) << 24 ^ v as u64) & MASK61);
+        out.send(c, next_at(), MaskedInput::frame(round_id, values));
     }
     // Round 3 — unmask: survivors send shares covering the dropped (their
     // pairwise-mask seeds) capped at their neighborhood size.
@@ -1409,29 +1447,24 @@ fn secagg_attempt_messages(
         if plan.before_masking.contains(&i) || plan.after_masking.contains(&i) {
             continue;
         }
-        let shares: Vec<(u64, u64)> = (0..dropped.min(degree))
-            .map(|d| {
-                (
-                    d as u64,
-                    mix(session ^ (i as u64) << 28 ^ d as u64) & MASK61,
-                )
-            })
-            .collect();
-        transport.send(Envelope {
-            from: c,
-            to: COORDINATOR,
-            sent_at: next_at(),
-            payload: Message::UnmaskShares(UnmaskShares { round_id, shares }).encode(),
+        let shares = (0..dropped.min(degree)).map(|d| {
+            (
+                d as u64,
+                mix(session ^ (i as u64) << 28 ^ d as u64) & MASK61,
+            )
         });
+        out.send(c, next_at(), UnmaskShares::frame(round_id, shares));
     }
-    drain_counting(transport, traffic);
+    out.drain();
 }
 
-/// Drains the transport, tallying every delivered frame.
+/// Drains the transport, tallying every delivered frame. Frames are
+/// validated in place ([`Message::check`]): metering needs a frame's phase
+/// and direction, never its decoded contents.
 pub(crate) fn drain_counting(transport: &mut dyn Transport, traffic: &mut TrafficStats) {
     while let Some((_, env)) = transport.poll() {
-        if let Ok(msg) = Message::decode(&env.payload) {
-            traffic.record(msg.phase(), msg.direction(), env.payload.len() as u64);
+        if let Ok((phase, direction)) = Message::check(&env.payload) {
+            traffic.record(phase, direction, env.payload.len() as u64);
         }
     }
 }
@@ -1717,5 +1750,128 @@ mod tests {
                 Err(FedError::PopulationTooSmall { got: 0, need: 1 })
             ));
         }
+    }
+
+    /// The golden attempt: 2,000 members on a degree-64 ring with a seeded
+    /// 10% dropping out before masking, 10-bit planes (20 masked values).
+    fn golden_attempt(transport: &mut dyn Transport) -> TrafficStats {
+        let members: Vec<u64> = (0..2_000).collect();
+        let mut plan = DropoutPlan::none();
+        for i in 0..members.len() {
+            if mix(0x601D ^ i as u64).is_multiple_of(10) {
+                plan.before_masking.insert(i);
+            }
+        }
+        assert_eq!(plan.before_masking.len(), 205);
+        let mut traffic = TrafficStats::new();
+        secagg_attempt_messages(
+            transport,
+            &mut traffic,
+            &members,
+            &plan,
+            20,
+            64,
+            0x5EC0,
+            7,
+            0.0,
+        );
+        traffic
+    }
+
+    /// `(phase, direction, messages, bytes)` for every nonzero cell.
+    fn ledger_cells(traffic: &TrafficStats) -> Vec<(TrafficPhase, Direction, u64, u64)> {
+        TrafficPhase::ALL
+            .into_iter()
+            .flat_map(|p| [(p, Direction::Uplink), (p, Direction::Downlink)])
+            .map(|(p, d)| (p, d, traffic.get(p, d).messages, traffic.get(p, d).bytes))
+            .filter(|&(_, _, messages, _)| messages > 0)
+            .collect()
+    }
+
+    #[test]
+    fn secagg_attempt_ledger_matches_the_golden_constants() {
+        use Direction::{Downlink, Uplink};
+        use TrafficPhase::{Collect, Configure, KeyExchange, Masking, Publish, Rendezvous, Unmask};
+        // Recorded before the attempt streamed its frames; the in-place
+        // builders and chunked metering must reproduce it byte for byte.
+        let traffic = golden_attempt(&mut InMemoryTransport::new(7));
+        assert_eq!(
+            ledger_cells(&traffic),
+            [
+                (KeyExchange, Uplink, 4_000, 6_529_808),
+                (Masking, Uplink, 1_795, 327_348),
+                (Unmask, Uplink, 1_795, 1_150_627),
+            ]
+        );
+        // A whole secure round of the same shape on both wires.
+        let vs = values(2_000, 1_024);
+        let cfg = base_config(10)
+            .with_dropout(DropoutModel::bernoulli(0.1))
+            .with_secagg(SecAggSettings::default());
+        let secure = [
+            (KeyExchange, Uplink, 4_000, 6_537_808),
+            (Masking, Uplink, 1_811, 333_915),
+            (Unmask, Uplink, 1_811, 1_164_474),
+            (Publish, Downlink, 1, 15),
+        ];
+        let scalar = run_wire(&vs, &cfg, None, 7).unwrap();
+        let batched = run_wire(&vs, &cfg, Some(512), 7).unwrap();
+        for out in [&scalar, &batched] {
+            assert_eq!(out.outcome.estimate.to_bits(), 4_647_372_734_282_283_798);
+        }
+        let mut want = vec![
+            (Rendezvous, Uplink, 2_000, 8_000),
+            (Configure, Downlink, 2_000, 18_000),
+            (Collect, Uplink, 1_811, 16_189),
+        ];
+        want.extend(secure);
+        assert_eq!(ledger_cells(&scalar.robustness.traffic), want);
+        let mut want = vec![(Configure, Downlink, 1, 8), (Collect, Uplink, 4, 5_152)];
+        want.extend(secure);
+        assert_eq!(ledger_cells(&batched.robustness.traffic), want);
+    }
+
+    /// Counts a transport's sent-but-unpolled frames and keeps the peak.
+    struct InFlight<T> {
+        inner: T,
+        in_flight: usize,
+        peak: usize,
+    }
+
+    impl<T: Transport> Transport for InFlight<T> {
+        fn send(&mut self, env: Envelope) {
+            self.inner.send(env);
+            self.in_flight += 1;
+            self.peak = self.peak.max(self.in_flight);
+        }
+
+        fn poll(&mut self) -> Option<(f64, Envelope)> {
+            let delivery = self.inner.poll()?;
+            self.in_flight -= 1;
+            Some(delivery)
+        }
+
+        fn peek_time(&self) -> Option<f64> {
+            self.inner.peek_time()
+        }
+
+        fn idle(&self) -> bool {
+            self.inner.idle()
+        }
+    }
+
+    #[test]
+    fn secagg_attempt_holds_at_most_drain_every_frames_in_flight() {
+        let mut t = InFlight {
+            inner: InMemoryTransport::new(7),
+            in_flight: 0,
+            peak: 0,
+        };
+        let traffic = golden_attempt(&mut t);
+        // ~7,600 frames in all, never more than one chunk unmetered.
+        assert_eq!(traffic.total_messages(), 7_590);
+        assert_eq!(t.peak, DRAIN_EVERY);
+        assert_eq!(t.in_flight, 0);
+        assert!(t.idle());
     }
 }

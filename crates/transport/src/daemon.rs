@@ -68,7 +68,7 @@ use crate::fleet::{FleetAction, FleetConfig, FleetEngine, FleetLedger, FleetRoun
 use crate::message::Message;
 use crate::net::{wire_may_alter, SimNetTransport, Transport};
 use crate::reactor::{self, PollFd, INTEREST_READ, INTEREST_WRITE};
-use crate::tcp::{Ctrl, SessionHello, SessionStats, PROTOCOL_VERSION};
+use crate::tcp::{Ctrl, SessionHello, SessionStats, PROTOCOL_VERSION, SYNC_BYTES};
 
 /// Reactor poll granularity: the latency bound on shutdown notice,
 /// fleet timer ticks, and idle-timeout sweeps.
@@ -627,11 +627,16 @@ impl Conn {
         self.written < self.out.len()
     }
 
-    /// Queues one reply frame on this connection's output buffer.
+    /// Queues one reply frame on this connection's output buffer. A reply
+    /// that could never be framed (an `Env` within a few bytes of
+    /// [`wire::MAX_FRAME_LEN`] echoes back larger than the cap) ends the
+    /// connection as [`ConnEnd::Overflow`] instead of queueing anything.
     fn reply(&mut self, ctrl: &Ctrl) {
         let frame = ctrl.encode();
-        wire::write_frame(&mut self.out, &frame)
-            .expect("writing to a Vec cannot fail under MAX_FRAME_LEN");
+        if wire::write_frame(&mut self.out, &frame).is_err() {
+            self.end = Some(ConnEnd::Overflow);
+            return;
+        }
         self.tally.frames_out += 1;
         self.tally.bytes_out += wire::frame_len(frame.len()) as u64;
     }
@@ -653,7 +658,8 @@ fn reactor_loop(listener: &TcpListener, shared: &Shared, cfg: &DaemonConfig) {
     let epoch = Instant::now();
     let mut conns: BTreeMap<u64, Conn> = BTreeMap::new();
     let mut next_conn_id = 0u64;
-    let mut buf = [0u8; 16 * 1024];
+    // One flow-control window per read (see `tcp::SYNC_BYTES`).
+    let mut buf = vec![0u8; SYNC_BYTES];
     let mut draining_since: Option<Instant> = None;
 
     loop {
@@ -1013,7 +1019,7 @@ fn handle_frame(
                 conn.end = Some(ConnEnd::Protocol);
                 return;
             };
-            if Message::decode(&env.payload).is_err() {
+            if Message::check(&env.payload).is_err() {
                 counters.invalid_payloads.fetch_add(1, Ordering::Relaxed);
             }
             net.send(env);
@@ -1035,7 +1041,7 @@ fn handle_frame(
                 conn.end = Some(ConnEnd::Protocol);
                 return;
             }
-            if Message::decode(&env.payload).is_err() {
+            if Message::check(&env.payload).is_err() {
                 counters.invalid_payloads.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -1304,5 +1310,50 @@ mod tests {
         assert_eq!(protocol_errors_after(&[Ctrl::Post(check_in.clone())]), 1);
         assert_eq!(protocol_errors_after(&[Ctrl::Redeliver(check_in)]), 1);
         assert_eq!(protocol_errors_after(&[Ctrl::Barrier]), 1);
+    }
+
+    #[test]
+    fn oversized_reply_ends_the_connection_not_the_daemon() {
+        let handle = spawn(DaemonConfig::default()).expect("bind loopback daemon");
+        let connect = || {
+            let stream = TcpStream::connect(handle.addr()).expect("connect");
+            stream
+                .set_read_timeout(Some(Duration::from_secs(30)))
+                .expect("read timeout");
+            stream
+        };
+        let hello_acked = |stream: &mut TcpStream| {
+            wire::write_frame(stream, &hello(None).encode()).expect("write");
+            matches!(
+                wire::read_frame(stream).map(|f| f.map(|f| Ctrl::decode(&f))),
+                Ok(Some(Ok(Ctrl::HelloAck { .. })))
+            )
+        };
+        // An `Env` frame of exactly `MAX_FRAME_LEN` bytes is legal, but
+        // its `Deliveries` echo adds a count and an arrival time (9 bytes)
+        // and could never be framed.
+        let mut env = to_coordinator(&Message::Hello { round_id: 7 });
+        let framing = Ctrl::Env(env.clone()).encode().len() - env.payload.len() - 1;
+        let len_prefix = wire::varint_len(wire::MAX_FRAME_LEN as u64);
+        env.payload = vec![0; wire::MAX_FRAME_LEN - framing - len_prefix];
+        let frame = Ctrl::Env(env).encode();
+        assert_eq!(frame.len(), wire::MAX_FRAME_LEN);
+        let mut stream = connect();
+        assert!(hello_acked(&mut stream));
+        wire::write_frame(&mut stream, &frame).expect("write");
+        // The daemon hangs up on this connection (EOF or a reset)...
+        while let Ok(Some(_)) = wire::read_frame(&mut stream) {}
+        // ...and keeps serving the next one.
+        let mut next = connect();
+        assert!(hello_acked(&mut next), "second connection got no HelloAck");
+        wire::write_frame(&mut next, &Ctrl::Close.encode()).expect("write");
+        assert!(matches!(
+            wire::read_frame(&mut next).map(|f| f.map(|f| Ctrl::decode(&f))),
+            Ok(Some(Ok(Ctrl::Stats(_))))
+        ));
+        let snapshot = handle.shutdown().expect("clean shutdown");
+        assert_eq!(snapshot.overflow_drops, 1);
+        assert_eq!(snapshot.protocol_errors, 0);
+        assert_eq!(snapshot.sessions_opened, 2);
     }
 }

@@ -39,8 +39,7 @@ use fednum_fedsim::validation::RejectionCounts;
 
 use crate::coordinator::{collect, debias_sums, fill_derived, run_salvage, secagg_tally};
 use crate::message::{
-    EncryptedShare, KeyAdvertise, KeyShares, MaskedInput, Message, Publish, UnmaskShares,
-    ENCRYPTED_SHARE_LEN, PUBLIC_KEY_LEN,
+    KeyAdvertise, KeyShares, MaskedInput, Message, Publish, UnmaskShares, PUBLIC_KEY_LEN,
 };
 use crate::net::{
     Envelope, InMemoryTransport, SimNetTransport, Transport, WireMetrics, COORDINATOR,
@@ -579,21 +578,14 @@ fn frame_merge_session(
         });
     }
     for (i, &p) in parties.iter().enumerate() {
-        let shares: Vec<EncryptedShare> = (0..degree)
-            .map(|d| {
-                let mut ct = [0u8; ENCRYPTED_SHARE_LEN];
-                fill_derived(&mut ct, mix(session ^ p << 20 ^ d as u64));
-                EncryptedShare {
-                    recipient: parties[(i + d + 1) % k],
-                    ct,
-                }
-            })
-            .collect();
+        let recipients = (0..degree).map(|d| parties[(i + d + 1) % k]);
         transport.send(Envelope {
             from: p,
             to: COORDINATOR,
             sent_at: next_at(),
-            payload: Message::KeyShares(KeyShares { round_id, shares }).encode(),
+            payload: KeyShares::frame(round_id, recipients, |d, ct| {
+                fill_derived(ct, mix(session ^ p << 20 ^ d as u64));
+            }),
         });
     }
     // Round 2: live shard aggregators upload their genuinely masked sums —
@@ -604,12 +596,11 @@ fn frame_merge_session(
         let mut y: Vec<Fe> = vals.iter().map(|&v| Fe::new(v)).collect();
         let mask = client_mask_ring(session, parties[i], parties, degree, vector_len);
         add_assign(&mut y, &mask, false);
-        let values: Vec<u64> = y.iter().map(|f| f.value()).collect();
         transport.send(Envelope {
             from: parties[i],
             to: COORDINATOR,
             sent_at: next_at(),
-            payload: Message::MaskedInput(MaskedInput { round_id, values }).encode(),
+            payload: MaskedInput::frame(round_id, y.iter().map(|f| f.value())),
         });
     }
     // Round 3: survivors send unmask shares covering degraded shards.
@@ -618,19 +609,17 @@ fn frame_merge_session(
         if sum.is_none() {
             continue;
         }
-        let shares: Vec<(u64, u64)> = (0..dropped.min(degree))
-            .map(|d| {
-                (
-                    d as u64,
-                    mix(session ^ parties[i] << 28 ^ d as u64) & ((1 << 61) - 1),
-                )
-            })
-            .collect();
+        let shares = (0..dropped.min(degree)).map(|d| {
+            (
+                d as u64,
+                mix(session ^ parties[i] << 28 ^ d as u64) & ((1 << 61) - 1),
+            )
+        });
         transport.send(Envelope {
             from: parties[i],
             to: COORDINATOR,
             sent_at: next_at(),
-            payload: Message::UnmaskShares(UnmaskShares { round_id, shares }).encode(),
+            payload: UnmaskShares::frame(round_id, shares),
         });
     }
 }
@@ -638,7 +627,6 @@ fn frame_merge_session(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::MaskedInput;
     use crate::shard::sharded_impl;
     use fednum_core::encoding::FixedPointCodec;
     use fednum_core::protocol::basic::BasicConfig;

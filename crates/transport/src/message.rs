@@ -261,31 +261,15 @@ impl Message {
                 out.extend_from_slice(&k.kem_pk);
                 out.extend_from_slice(&k.mask_pk);
             }
-            Message::KeyShares(k) => {
-                out.push(TAG_KEY_SHARES);
-                push_varint(out, k.round_id);
-                push_varint(out, k.shares.len() as u64);
-                for s in &k.shares {
-                    push_varint(out, s.recipient);
-                    out.extend_from_slice(&s.ct);
-                }
-            }
-            Message::MaskedInput(m) => {
-                out.push(TAG_MASKED_INPUT);
-                push_varint(out, m.round_id);
-                push_varint(out, m.values.len() as u64);
-                for &v in &m.values {
-                    push_varint(out, v);
-                }
-            }
+            Message::KeyShares(k) => put_key_shares(
+                out,
+                k.round_id,
+                k.shares.iter().map(|s| s.recipient),
+                |d, ct| ct.copy_from_slice(&k.shares[d].ct),
+            ),
+            Message::MaskedInput(m) => put_masked_input(out, m.round_id, m.values.iter().copied()),
             Message::UnmaskShares(u) => {
-                out.push(TAG_UNMASK_SHARES);
-                push_varint(out, u.round_id);
-                push_varint(out, u.shares.len() as u64);
-                for &(subject, share) in &u.shares {
-                    push_varint(out, subject);
-                    push_varint(out, share);
-                }
+                put_unmask_shares(out, u.round_id, u.shares.iter().copied())
             }
             Message::Publish(p) => {
                 out.push(TAG_PUBLISH);
@@ -332,25 +316,11 @@ impl Message {
             Message::Report(r) => varint_len(r.nonce) + r.body.encoded_len(),
             Message::KeyAdvertise(k) => varint_len(k.round_id) + 2 * PUBLIC_KEY_LEN,
             Message::KeyShares(k) => {
-                varint_len(k.round_id)
-                    + varint_len(k.shares.len() as u64)
-                    + k.shares
-                        .iter()
-                        .map(|s| varint_len(s.recipient) + ENCRYPTED_SHARE_LEN)
-                        .sum::<usize>()
+                key_shares_body_len(k.round_id, k.shares.iter().map(|s| s.recipient))
             }
-            Message::MaskedInput(m) => {
-                varint_len(m.round_id)
-                    + varint_len(m.values.len() as u64)
-                    + m.values.iter().map(|&v| varint_len(v)).sum::<usize>()
-            }
+            Message::MaskedInput(m) => masked_input_body_len(m.round_id, m.values.iter().copied()),
             Message::UnmaskShares(u) => {
-                varint_len(u.round_id)
-                    + varint_len(u.shares.len() as u64)
-                    + u.shares
-                        .iter()
-                        .map(|&(subject, share)| varint_len(subject) + varint_len(share))
-                        .sum::<usize>()
+                unmask_shares_body_len(u.round_id, u.shares.iter().copied())
             }
             Message::Publish(p) => {
                 varint_len(p.round_id)
@@ -383,6 +353,100 @@ impl Message {
         Ok(msg)
     }
 
+    /// The phase and direction of the frame in `buf`, validated in place:
+    /// accepts exactly the bytes [`Self::decode`] accepts, with the same
+    /// error, but allocates nothing. Metering and the daemon's payload
+    /// validation only need this verdict, not the decoded message.
+    ///
+    /// # Errors
+    /// See [`Self::decode`].
+    pub fn check(buf: &[u8]) -> Result<(TrafficPhase, Direction), WireError> {
+        use Direction::{Downlink, Uplink};
+        let pos = &mut 0;
+        let &tag = buf.first().ok_or(WireError::Truncated)?;
+        *pos += 1;
+        let class = match tag {
+            TAG_HELLO => {
+                read_varint(buf, pos)?;
+                (TrafficPhase::Rendezvous, Uplink)
+            }
+            TAG_ROUND_CONFIG => {
+                read_varint(buf, pos)?;
+                read_bytes(buf, pos, 1)?;
+                read_flag(buf, pos)?;
+                read_varint(buf, pos)?;
+                read_varint(buf, pos)?;
+                (TrafficPhase::Configure, Downlink)
+            }
+            TAG_REPORT => {
+                read_varint(buf, pos)?;
+                ReportMessage::check_from(buf, pos)?;
+                (TrafficPhase::Collect, Uplink)
+            }
+            TAG_KEY_ADVERTISE => {
+                read_varint(buf, pos)?;
+                read_bytes(buf, pos, 2 * PUBLIC_KEY_LEN)?;
+                (TrafficPhase::KeyExchange, Uplink)
+            }
+            TAG_KEY_SHARES => {
+                read_varint(buf, pos)?;
+                for _ in 0..read_count(buf, pos, 1 + ENCRYPTED_SHARE_LEN)? {
+                    read_varint(buf, pos)?;
+                    read_bytes(buf, pos, ENCRYPTED_SHARE_LEN)?;
+                }
+                (TrafficPhase::KeyExchange, Uplink)
+            }
+            TAG_MASKED_INPUT => {
+                read_varint(buf, pos)?;
+                for _ in 0..read_count(buf, pos, 1)? {
+                    read_varint(buf, pos)?;
+                }
+                (TrafficPhase::Masking, Uplink)
+            }
+            TAG_UNMASK_SHARES => {
+                read_varint(buf, pos)?;
+                for _ in 0..read_count(buf, pos, 2)? {
+                    read_varint(buf, pos)?;
+                    read_varint(buf, pos)?;
+                }
+                (TrafficPhase::Unmask, Uplink)
+            }
+            TAG_PUBLISH => {
+                read_varint(buf, pos)?;
+                read_bytes(buf, pos, 8)?;
+                read_varint(buf, pos)?;
+                let feedback = read_count(buf, pos, 8)?;
+                read_bytes(buf, pos, 8 * feedback)?;
+                (TrafficPhase::Publish, Downlink)
+            }
+            TAG_CONFIG_HEADER => {
+                read_varint(buf, pos)?;
+                read_flag(buf, pos)?;
+                read_varint(buf, pos)?;
+                read_varint(buf, pos)?;
+                (TrafficPhase::Configure, Downlink)
+            }
+            TAG_ASSIGN_BIT => {
+                read_bytes(buf, pos, 1)?;
+                (TrafficPhase::Configure, Downlink)
+            }
+            TAG_SHUFFLE => {
+                ShuffleMessage::check_from(buf, pos)?;
+                (TrafficPhase::Shuffle, Uplink)
+            }
+            TAG_BATCH_REPORT => {
+                read_varint(buf, pos)?;
+                BatchReportMessage::check_from(buf, pos)?;
+                (TrafficPhase::Collect, Uplink)
+            }
+            other => return Err(WireError::UnknownTag(other)),
+        };
+        if *pos != buf.len() {
+            return Err(WireError::TrailingBytes);
+        }
+        Ok(class)
+    }
+
     /// Decodes one message starting at `*pos`, advancing `*pos` past it.
     ///
     /// # Errors
@@ -398,12 +462,7 @@ impl Message {
                 let round_id = read_varint(buf, pos)?;
                 let assigned_bit = *buf.get(*pos).ok_or(WireError::Truncated)?;
                 *pos += 1;
-                let secagg = match buf.get(*pos).ok_or(WireError::Truncated)? {
-                    0 => false,
-                    1 => true,
-                    _ => return Err(WireError::InvalidField("secagg flag")),
-                };
-                *pos += 1;
+                let secagg = read_flag(buf, pos)?;
                 let threshold = read_varint(buf, pos)?;
                 let vector_len = read_varint(buf, pos)?;
                 Ok(Message::RoundConfig(RoundConfig {
@@ -433,12 +492,8 @@ impl Message {
             }
             TAG_KEY_SHARES => {
                 let round_id = read_varint(buf, pos)?;
-                let count = read_varint(buf, pos)? as usize;
-                // Each share costs at least 1 + ENCRYPTED_SHARE_LEN bytes;
-                // an impossible count fails before any allocation.
-                if count > buf.len().saturating_sub(*pos) / (1 + ENCRYPTED_SHARE_LEN) {
-                    return Err(WireError::Truncated);
-                }
+                // Each share costs at least 1 + ENCRYPTED_SHARE_LEN bytes.
+                let count = read_count(buf, pos, 1 + ENCRYPTED_SHARE_LEN)?;
                 let mut shares = Vec::with_capacity(count);
                 for _ in 0..count {
                     let recipient = read_varint(buf, pos)?;
@@ -450,10 +505,7 @@ impl Message {
             }
             TAG_MASKED_INPUT => {
                 let round_id = read_varint(buf, pos)?;
-                let count = read_varint(buf, pos)? as usize;
-                if count > buf.len().saturating_sub(*pos) {
-                    return Err(WireError::Truncated);
-                }
+                let count = read_count(buf, pos, 1)?;
                 let mut values = Vec::with_capacity(count);
                 for _ in 0..count {
                     values.push(read_varint(buf, pos)?);
@@ -462,10 +514,7 @@ impl Message {
             }
             TAG_UNMASK_SHARES => {
                 let round_id = read_varint(buf, pos)?;
-                let count = read_varint(buf, pos)? as usize;
-                if count > buf.len().saturating_sub(*pos) / 2 {
-                    return Err(WireError::Truncated);
-                }
+                let count = read_count(buf, pos, 2)?;
                 let mut shares = Vec::with_capacity(count);
                 for _ in 0..count {
                     let subject = read_varint(buf, pos)?;
@@ -480,12 +529,7 @@ impl Message {
                 bits.copy_from_slice(read_bytes(buf, pos, 8)?);
                 let estimate = f64::from_bits(u64::from_le_bytes(bits));
                 let reports = read_varint(buf, pos)?;
-                let count = read_varint(buf, pos)?;
-                let count = usize::try_from(count).map_err(|_| WireError::Truncated)?;
-                // 8 bytes per entry must still fit in the buffer.
-                if buf.len().saturating_sub(*pos) < count.saturating_mul(8) {
-                    return Err(WireError::Truncated);
-                }
+                let count = read_count(buf, pos, 8)?;
                 let mut feedback = Vec::with_capacity(count);
                 for _ in 0..count {
                     let mut fb = [0u8; 8];
@@ -501,12 +545,7 @@ impl Message {
             }
             TAG_CONFIG_HEADER => {
                 let round_id = read_varint(buf, pos)?;
-                let secagg = match buf.get(*pos).ok_or(WireError::Truncated)? {
-                    0 => false,
-                    1 => true,
-                    _ => return Err(WireError::InvalidField("secagg flag")),
-                };
-                *pos += 1;
+                let secagg = read_flag(buf, pos)?;
                 let threshold = read_varint(buf, pos)?;
                 let vector_len = read_varint(buf, pos)?;
                 Ok(Message::ConfigHeader(ConfigHeader {
@@ -532,90 +571,228 @@ impl Message {
     }
 }
 
+/// Reads a `0`/`1` flag byte.
+fn read_flag(buf: &[u8], pos: &mut usize) -> Result<bool, WireError> {
+    let flag = match buf.get(*pos).ok_or(WireError::Truncated)? {
+        0 => false,
+        1 => true,
+        _ => return Err(WireError::InvalidField("secagg flag")),
+    };
+    *pos += 1;
+    Ok(flag)
+}
+
+/// Reads a count of entries at least `min_entry` bytes each, failing
+/// before any allocation when the rest of the buffer cannot hold them.
+fn read_count(buf: &[u8], pos: &mut usize, min_entry: usize) -> Result<usize, WireError> {
+    let count = usize::try_from(read_varint(buf, pos)?).map_err(|_| WireError::Truncated)?;
+    if count > buf.len().saturating_sub(*pos) / min_entry {
+        return Err(WireError::Truncated);
+    }
+    Ok(count)
+}
+
+// One writer and one size per counted secure-aggregation layout, shared by
+// `Message::encode_into` and the in-place frame builders, so both produce
+// the same bytes by construction. Sizes exclude the one-byte tag.
+
+fn key_shares_body_len(round_id: u64, recipients: impl ExactSizeIterator<Item = u64>) -> usize {
+    varint_len(round_id)
+        + varint_len(recipients.len() as u64)
+        + recipients
+            .map(|r| varint_len(r) + ENCRYPTED_SHARE_LEN)
+            .sum::<usize>()
+}
+
+/// `tag · round_id · count · count × (recipient · ct)`; `ct(d, buf)`
+/// writes share `d`'s ciphertext straight into the frame.
+fn put_key_shares(
+    out: &mut Vec<u8>,
+    round_id: u64,
+    recipients: impl ExactSizeIterator<Item = u64>,
+    mut ct: impl FnMut(usize, &mut [u8]),
+) {
+    out.push(TAG_KEY_SHARES);
+    push_varint(out, round_id);
+    push_varint(out, recipients.len() as u64);
+    for (d, recipient) in recipients.enumerate() {
+        push_varint(out, recipient);
+        let at = out.len();
+        out.resize(at + ENCRYPTED_SHARE_LEN, 0);
+        ct(d, &mut out[at..]);
+    }
+}
+
+fn masked_input_body_len(round_id: u64, values: impl ExactSizeIterator<Item = u64>) -> usize {
+    varint_len(round_id) + varint_len(values.len() as u64) + values.map(varint_len).sum::<usize>()
+}
+
+/// `tag · round_id · count · count × value`.
+fn put_masked_input(out: &mut Vec<u8>, round_id: u64, values: impl ExactSizeIterator<Item = u64>) {
+    out.push(TAG_MASKED_INPUT);
+    push_varint(out, round_id);
+    push_varint(out, values.len() as u64);
+    for v in values {
+        push_varint(out, v);
+    }
+}
+
+fn unmask_shares_body_len(
+    round_id: u64,
+    shares: impl ExactSizeIterator<Item = (u64, u64)>,
+) -> usize {
+    varint_len(round_id)
+        + varint_len(shares.len() as u64)
+        + shares
+            .map(|(subject, share)| varint_len(subject) + varint_len(share))
+            .sum::<usize>()
+}
+
+/// `tag · round_id · count · count × (subject · share)`.
+fn put_unmask_shares(
+    out: &mut Vec<u8>,
+    round_id: u64,
+    shares: impl ExactSizeIterator<Item = (u64, u64)>,
+) {
+    out.push(TAG_UNMASK_SHARES);
+    push_varint(out, round_id);
+    push_varint(out, shares.len() as u64);
+    for (subject, share) in shares {
+        push_varint(out, subject);
+        push_varint(out, share);
+    }
+}
+
+impl KeyShares {
+    /// The encoded [`Message::KeyShares`] frame with one share per
+    /// `recipients` entry, built in place in a buffer of exactly its size:
+    /// `ct(d, buf)` writes share `d`'s ciphertext into the frame. The bytes
+    /// equal encoding the equivalent [`KeyShares`], which is never built.
+    pub fn frame<R>(round_id: u64, recipients: R, ct: impl FnMut(usize, &mut [u8])) -> Vec<u8>
+    where
+        R: ExactSizeIterator<Item = u64> + Clone,
+    {
+        let mut out = Vec::with_capacity(1 + key_shares_body_len(round_id, recipients.clone()));
+        put_key_shares(&mut out, round_id, recipients, ct);
+        out
+    }
+}
+
+impl MaskedInput {
+    /// The encoded [`Message::MaskedInput`] frame for `values`, built in
+    /// place in a buffer of exactly its size (see [`KeyShares::frame`]).
+    pub fn frame<V>(round_id: u64, values: V) -> Vec<u8>
+    where
+        V: ExactSizeIterator<Item = u64> + Clone,
+    {
+        let mut out = Vec::with_capacity(1 + masked_input_body_len(round_id, values.clone()));
+        put_masked_input(&mut out, round_id, values);
+        out
+    }
+}
+
+impl UnmaskShares {
+    /// The encoded [`Message::UnmaskShares`] frame for `(subject, share)`
+    /// pairs, built in place in a buffer of exactly its size (see
+    /// [`KeyShares::frame`]).
+    pub fn frame<S>(round_id: u64, shares: S) -> Vec<u8>
+    where
+        S: ExactSizeIterator<Item = (u64, u64)> + Clone,
+    {
+        let mut out = Vec::with_capacity(1 + unmask_shares_body_len(round_id, shares.clone()));
+        put_unmask_shares(&mut out, round_id, shares);
+        out
+    }
+}
+
+/// One frame of every variant, with boundary field values: the fixture
+/// the codec's unit tests and the `proptest_messages` suite share.
+#[doc(hidden)]
+#[must_use]
+pub fn samples() -> Vec<Message> {
+    vec![
+        Message::Hello { round_id: 7 },
+        Message::RoundConfig(RoundConfig {
+            round_id: 0x1234,
+            assigned_bit: 5,
+            secagg: true,
+            threshold: 128,
+            vector_len: 16,
+        }),
+        Message::Report(Report {
+            nonce: 99,
+            body: ReportMessage {
+                task_id: 0x1234,
+                reports: vec![(5, true)],
+            },
+        }),
+        Message::KeyAdvertise(KeyAdvertise {
+            round_id: 3,
+            kem_pk: [0xAB; PUBLIC_KEY_LEN],
+            mask_pk: [0xCD; PUBLIC_KEY_LEN],
+        }),
+        Message::KeyShares(KeyShares {
+            round_id: 3,
+            shares: vec![
+                EncryptedShare {
+                    recipient: 1,
+                    ct: [1; ENCRYPTED_SHARE_LEN],
+                },
+                EncryptedShare {
+                    recipient: u64::MAX,
+                    ct: [2; ENCRYPTED_SHARE_LEN],
+                },
+            ],
+        }),
+        Message::MaskedInput(MaskedInput {
+            round_id: 3,
+            values: vec![0, 1, (1 << 61) - 2, 12345],
+        }),
+        Message::UnmaskShares(UnmaskShares {
+            round_id: 3,
+            shares: vec![(0, 42), (17, (1 << 61) - 3)],
+        }),
+        Message::Publish(Publish {
+            round_id: 3,
+            estimate: -12.75,
+            reports: 100_000,
+            feedback: vec![0.0, 0.25, -1.5, f64::MAX],
+        }),
+        Message::ConfigHeader(ConfigHeader {
+            round_id: 0x1234,
+            secagg: true,
+            threshold: 128,
+            vector_len: 16,
+        }),
+        Message::AssignBit { assigned_bit: 5 },
+        Message::Shuffle(ShuffleMessage::Submit {
+            round_id: 3,
+            bit_index: 7,
+            bit: true,
+        }),
+        Message::Shuffle(ShuffleMessage::Batch {
+            round_id: 3,
+            entries: vec![(0, false), (7, true), (255, false)],
+        }),
+        Message::BatchReport(BatchReport {
+            nonce: 42,
+            body: BatchReportMessage {
+                task_id: 0x1234,
+                planes: {
+                    let mut planes = fednum_core::bits::BitPlanes::new(4, 70);
+                    for slot in 0..70 {
+                        planes.record(slot, (slot % 4) as u32, slot % 3 == 0);
+                    }
+                    planes
+                },
+            },
+        }),
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn samples() -> Vec<Message> {
-        vec![
-            Message::Hello { round_id: 7 },
-            Message::RoundConfig(RoundConfig {
-                round_id: 0x1234,
-                assigned_bit: 5,
-                secagg: true,
-                threshold: 128,
-                vector_len: 16,
-            }),
-            Message::Report(Report {
-                nonce: 99,
-                body: ReportMessage {
-                    task_id: 0x1234,
-                    reports: vec![(5, true)],
-                },
-            }),
-            Message::KeyAdvertise(KeyAdvertise {
-                round_id: 3,
-                kem_pk: [0xAB; PUBLIC_KEY_LEN],
-                mask_pk: [0xCD; PUBLIC_KEY_LEN],
-            }),
-            Message::KeyShares(KeyShares {
-                round_id: 3,
-                shares: vec![
-                    EncryptedShare {
-                        recipient: 1,
-                        ct: [1; ENCRYPTED_SHARE_LEN],
-                    },
-                    EncryptedShare {
-                        recipient: u64::MAX,
-                        ct: [2; ENCRYPTED_SHARE_LEN],
-                    },
-                ],
-            }),
-            Message::MaskedInput(MaskedInput {
-                round_id: 3,
-                values: vec![0, 1, (1 << 61) - 2, 12345],
-            }),
-            Message::UnmaskShares(UnmaskShares {
-                round_id: 3,
-                shares: vec![(0, 42), (17, (1 << 61) - 3)],
-            }),
-            Message::Publish(Publish {
-                round_id: 3,
-                estimate: -12.75,
-                reports: 100_000,
-                feedback: vec![0.0, 0.25, -1.5, f64::MAX],
-            }),
-            Message::ConfigHeader(ConfigHeader {
-                round_id: 0x1234,
-                secagg: true,
-                threshold: 128,
-                vector_len: 16,
-            }),
-            Message::AssignBit { assigned_bit: 5 },
-            Message::Shuffle(ShuffleMessage::Submit {
-                round_id: 3,
-                bit_index: 7,
-                bit: true,
-            }),
-            Message::Shuffle(ShuffleMessage::Batch {
-                round_id: 3,
-                entries: vec![(0, false), (7, true), (255, false)],
-            }),
-            Message::BatchReport(BatchReport {
-                nonce: 42,
-                body: BatchReportMessage {
-                    task_id: 0x1234,
-                    planes: {
-                        let mut planes = fednum_core::bits::BitPlanes::new(4, 70);
-                        for slot in 0..70 {
-                            planes.record(slot, (slot % 4) as u32, slot % 3 == 0);
-                        }
-                        planes
-                    },
-                },
-            }),
-        ]
-    }
 
     #[test]
     fn every_variant_round_trips() {
@@ -624,6 +801,44 @@ mod tests {
             assert_eq!(bytes.len(), msg.encoded_len());
             assert_eq!(Message::decode(&bytes).unwrap(), msg, "{msg:?}");
         }
+    }
+
+    #[test]
+    fn in_place_builders_match_encode() {
+        let shares: Vec<EncryptedShare> = (0..70u64)
+            .map(|d| EncryptedShare {
+                recipient: d << (d % 64),
+                ct: [d as u8; ENCRYPTED_SHARE_LEN],
+            })
+            .collect();
+        let built = KeyShares::frame(9, shares.iter().map(|s| s.recipient), |d, ct| {
+            ct.copy_from_slice(&shares[d].ct);
+        });
+        let encoded = Message::KeyShares(KeyShares {
+            round_id: 9,
+            shares: shares.clone(),
+        })
+        .encode();
+        assert_eq!(built, encoded);
+        assert_eq!(built.capacity(), built.len(), "exact-size buffer");
+
+        let values: Vec<u64> = (0..64).map(|v| (1u64 << v) - 1).collect();
+        let built = MaskedInput::frame(u64::MAX, values.iter().copied());
+        let encoded = Message::MaskedInput(MaskedInput {
+            round_id: u64::MAX,
+            values,
+        })
+        .encode();
+        assert_eq!((built.capacity(), &built), (built.len(), &encoded));
+
+        let pairs: Vec<(u64, u64)> = (0..40).map(|d| (d, u64::MAX >> d)).collect();
+        let built = UnmaskShares::frame(0, pairs.iter().copied());
+        let encoded = Message::UnmaskShares(UnmaskShares {
+            round_id: 0,
+            shares: pairs,
+        })
+        .encode();
+        assert_eq!((built.capacity(), &built), (built.len(), &encoded));
     }
 
     #[test]

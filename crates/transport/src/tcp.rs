@@ -41,11 +41,22 @@
 //! **Acknowledgement and flow control.** The daemon handles a
 //! connection's frames in order, so any reply acknowledges every earlier
 //! frame. One-way frames that no owed reply covers are confirmed by a
-//! `Barrier` (answered with an empty `Deliveries`): once the unacknowledged
-//! bytes reach `SYNC_BYTES`, so neither peer's buffers — nor the daemon's
-//! frame decoder — grow without bound; and whenever the local queue runs
-//! dry, so a dead daemon surfaces before a session sees a drained
-//! timeline.
+//! `Barrier` (answered with an empty `Deliveries`): before a frame would
+//! overflow the 64 KiB window (`SYNC_BYTES`), so neither peer's buffers —
+//! nor the daemon's frame decoder — grow without bound; and whenever the
+//! local queue runs dry, so a dead daemon surfaces before a session sees a
+//! drained timeline.
+//!
+//! **One write per window.** The write buffer holds exactly one window and
+//! the window always keeps room for its closing `Barrier`, so the buffer
+//! never spills early: each window, barrier included, leaves in a single
+//! `write` and — the daemon reads in window-sized chunks — arrives in a
+//! single `read`. Envelope frames are written straight into the buffer,
+//! their head built on the stack and their payload copied once. A caller
+//! that polls until the queue is empty pays one barrier round trip per
+//! drain, so streaming senders meter in chunks (the secure-aggregation
+//! attempt drains every `coordinator::DRAIN_EVERY` sends) rather than per
+//! frame.
 //!
 //! **Failure semantics.** The [`Transport`] call surface is infallible, so
 //! socket errors (including read timeouts) are recorded internally: the
@@ -59,7 +70,7 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use fednum_core::wire::{
-    self, push_f64, read_f64, read_varint, varint_len, CampaignMessage, FleetMessage, WireError,
+    self, push_f64, read_f64, read_varint, CampaignMessage, FleetMessage, WireError,
 };
 use fednum_fedsim::error::FedError;
 use fednum_fedsim::faults::{FaultPlan, FaultRates};
@@ -71,11 +82,15 @@ use crate::scheduler::EventQueue;
 /// Wire-protocol version carried in the session handshake.
 pub const PROTOCOL_VERSION: u64 = 1;
 
-/// Sync (barrier, flush, read every owed reply) once this many encoded
-/// bytes are unacknowledged: bounds both the daemon's buffered input and
-/// its pending reply bytes (replies are at most request-sized) far below
-/// any platform's socket buffers.
-const SYNC_BYTES: usize = 16 * 1024;
+/// The flow-control window: at most this many encoded bytes are ever
+/// unacknowledged (one frame larger than the window goes alone). It bounds
+/// the daemon's buffered input and its pending reply bytes (replies are at
+/// most request-sized) below any platform's socket buffers. The driver's
+/// write buffer and the daemon's read buffer are the same size, so a window
+/// leaves the driver in one write and reaches the daemon in one read.
+pub(crate) const SYNC_BYTES: usize = 64 * 1024;
+/// Encoded size of a `Barrier` frame: length prefix and tag.
+const BARRIER_FRAME_LEN: usize = 2;
 /// Sync once this many `Env` replies are owed.
 const SYNC_FRAMES: usize = 256;
 
@@ -216,23 +231,38 @@ pub(crate) enum Ctrl {
     Fleet(FleetMessage),
 }
 
+/// Longest envelope head: three varints and a time.
+const ENVELOPE_HEAD_MAX: usize = 3 * 10 + 8;
+
+/// An envelope up to its payload — `from · to · sent_at · len` — on the
+/// stack: the bytes and the used length. The one writer of the layout
+/// [`read_env`] reads; the payload follows it.
+fn envelope_head(env: &Envelope) -> ([u8; ENVELOPE_HEAD_MAX], usize) {
+    let mut head = [0u8; ENVELOPE_HEAD_MAX];
+    let mut n = 0;
+    let mut put = |bytes: &[u8]| {
+        head[n..n + bytes.len()].copy_from_slice(bytes);
+        n += bytes.len();
+    };
+    for v in [env.from, env.to] {
+        let (bytes, len) = wire::varint_bytes(v);
+        put(&bytes[..len]);
+    }
+    put(&env.sent_at.to_bits().to_le_bytes());
+    let (bytes, len) = wire::varint_bytes(env.payload.len() as u64);
+    put(&bytes[..len]);
+    (head, n)
+}
+
 fn push_env(out: &mut Vec<u8>, env: &Envelope) {
-    wire::push_varint(out, env.from);
-    wire::push_varint(out, env.to);
-    push_f64(out, env.sent_at);
-    wire::push_varint(out, env.payload.len() as u64);
+    let (head, n) = envelope_head(env);
+    out.extend_from_slice(&head[..n]);
     out.extend_from_slice(&env.payload);
 }
 
-/// `tag · envelope`, allocated at its exact size.
+/// `tag · envelope`, in one allocation.
 fn envelope_frame(tag: u8, env: &Envelope) -> Vec<u8> {
-    let len = 1
-        + varint_len(env.from)
-        + varint_len(env.to)
-        + 8
-        + varint_len(env.payload.len() as u64)
-        + env.payload.len();
-    let mut out = Vec::with_capacity(len);
+    let mut out = Vec::with_capacity(1 + ENVELOPE_HEAD_MAX + env.payload.len());
     out.push(tag);
     push_env(&mut out, env);
     out
@@ -636,7 +666,7 @@ impl Inner {
         stream.set_read_timeout(Some(DEFAULT_READ_TIMEOUT))?;
         let mut inner = Inner {
             reader: BufReader::new(stream.try_clone()?),
-            writer: BufWriter::new(stream),
+            writer: BufWriter::with_capacity(SYNC_BYTES, stream),
             queue: EventQueue::new(hello.seed),
             outstanding: 0,
             unacked_bytes: 0,
@@ -1041,15 +1071,16 @@ fn fail(inner: &mut Inner, op: &'static str, e: &std::io::Error) {
     inner.one_way_pending = false;
 }
 
-/// Writes one encoded control frame, without any window check. A frame
-/// that owes a reply acknowledges, through that reply, every one-way
-/// frame written before it.
-fn put_frame(inner: &mut Inner, owes_reply: bool, frame: &[u8]) {
+/// Writes one control frame, whose encoding is `parts` concatenated,
+/// into the write buffer, without any window check. A frame that owes a
+/// reply acknowledges, through that reply, every one-way frame written
+/// before it.
+fn put_frame(inner: &mut Inner, owes_reply: bool, parts: &[&[u8]]) {
     if inner.error.is_some() {
         return;
     }
-    let len = wire::frame_len(frame.len());
-    if let Err(e) = wire::write_frame(&mut inner.writer, frame) {
+    let len = wire::frame_len(parts.iter().map(|part| part.len()).sum());
+    if let Err(e) = wire::write_frame_parts(&mut inner.writer, parts) {
         fail(inner, "write", &e);
         return;
     }
@@ -1062,13 +1093,27 @@ fn put_frame(inner: &mut Inner, owes_reply: bool, frame: &[u8]) {
     inner.one_way_pending = !owes_reply;
 }
 
-/// [`put_frame`], then a sync once the window is full, so neither peer's
-/// buffers — nor the daemon's frame decoder — grow without bound.
-fn send_frame(inner: &mut Inner, owes_reply: bool, frame: &[u8]) {
-    put_frame(inner, owes_reply, frame);
-    if inner.unacked_bytes >= SYNC_BYTES || inner.outstanding >= SYNC_FRAMES {
+/// [`put_frame`] inside the flow-control window. A frame that would not
+/// fit in what is left of it, with room for the closing `Barrier`, first
+/// syncs the window: the write buffer never overflows, so each window —
+/// barrier included — leaves in one write, and neither peer's buffers (nor
+/// the daemon's frame decoder) grow without bound.
+fn send_frame(inner: &mut Inner, owes_reply: bool, parts: &[&[u8]]) {
+    let len = wire::frame_len(parts.iter().map(|part| part.len()).sum());
+    if inner.unacked_bytes > 0 && inner.unacked_bytes + len + BARRIER_FRAME_LEN > SYNC_BYTES {
         sync(inner);
     }
+    put_frame(inner, owes_reply, parts);
+    if inner.outstanding >= SYNC_FRAMES {
+        sync(inner);
+    }
+}
+
+/// [`send_frame`] for `tag · env`, its head built on the stack and its
+/// payload copied once, straight into the write buffer.
+fn send_envelope(inner: &mut Inner, owes_reply: bool, tag: u8, env: &Envelope) {
+    let (head, n) = envelope_head(env);
+    send_frame(inner, owes_reply, &[&[tag], &head[..n], &env.payload]);
 }
 
 /// Sends `env` one-way under `tag` (`Post` or `Redeliver`) and schedules
@@ -1081,7 +1126,7 @@ fn post(inner: &mut Inner, tag: u8, env: Envelope) {
     if inner.outstanding > 0 {
         drain_replies(inner);
     }
-    send_frame(inner, false, &envelope_frame(tag, &env));
+    send_envelope(inner, false, tag, &env);
     if inner.error.is_none() {
         inner.queue.push(env.sent_at, env.from, env);
     }
@@ -1142,7 +1187,7 @@ fn drain_replies(inner: &mut Inner) {
 /// or the typed error is latched.
 fn sync(inner: &mut Inner) {
     if inner.one_way_pending {
-        put_frame(inner, true, &Ctrl::Barrier.encode());
+        put_frame(inner, true, &[&Ctrl::Barrier.encode()]);
     }
     drain_replies(inner);
 }
@@ -1161,7 +1206,7 @@ impl Transport for TcpTransport {
     fn send(&mut self, env: Envelope) {
         let inner = self.inner.get_mut();
         if wire_may_alter(self.hello.faults.as_ref(), &env) {
-            send_frame(inner, true, &envelope_frame(TAG_ENV, &env));
+            send_envelope(inner, true, TAG_ENV, &env);
         } else {
             post(inner, TAG_POST, env);
         }
@@ -1181,7 +1226,7 @@ impl Transport for TcpTransport {
 
     fn open_window(&mut self, start: f64, deadline: f64) {
         let frame = Ctrl::Window { start, deadline }.encode();
-        send_frame(self.inner.get_mut(), false, &frame);
+        send_frame(self.inner.get_mut(), false, &[&frame]);
     }
 
     fn redeliver(&mut self, env: Envelope) {
@@ -1352,6 +1397,11 @@ mod tests {
             let bytes = f.encode();
             assert_eq!(Ctrl::decode(&bytes).unwrap(), f, "frame {f:?}");
         }
+        // The window keeps room for exactly this closing frame.
+        assert_eq!(
+            wire::frame_len(Ctrl::Barrier.encode().len()),
+            BARRIER_FRAME_LEN
+        );
     }
 
     #[test]

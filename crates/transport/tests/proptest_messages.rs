@@ -1,14 +1,16 @@
 //! Property tests over the framed message codec: encode→decode identity for
 //! randomly generated instances of every variant, rejection of truncated
-//! and over-long frames, and panic-freedom on arbitrary byte soup.
+//! and over-long frames, panic-freedom on arbitrary byte soup, and the
+//! in-place `Message::check` agreeing with `Message::decode` on every
+//! frame, valid or not.
 
 use fednum_core::bits::BitPlanes;
-use fednum_core::wire::{BatchReportMessage, ReportMessage, WireError};
+use fednum_core::wire::{push_varint, read_varint, BatchReportMessage, ReportMessage, WireError};
 use fednum_transport::message::{
     BatchReport, EncryptedShare, KeyAdvertise, KeyShares, MaskedInput, Publish, Report,
     RoundConfig, UnmaskShares, ENCRYPTED_SHARE_LEN, PUBLIC_KEY_LEN,
 };
-use fednum_transport::Message;
+use fednum_transport::{message, Message};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, RngExt, SeedableRng};
@@ -299,4 +301,103 @@ fn regression_hostile_count_fails_closed() {
     let mut buf = vec![4u8, 0];
     buf.extend_from_slice(&[0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01]);
     assert!(Message::decode(&buf).is_err());
+}
+
+/// `Message::check` must give exactly `Message::decode`'s verdict: the
+/// same error for a rejected frame, and for an accepted one the decoded
+/// message's phase and direction.
+fn assert_check_agrees(bytes: &[u8]) {
+    let checked = Message::check(bytes);
+    match Message::decode(bytes) {
+        Ok(msg) => assert_eq!(checked, Ok((msg.phase(), msg.direction())), "{bytes:?}"),
+        Err(e) => assert_eq!(checked, Err(e), "{bytes:?}"),
+    }
+}
+
+/// Byte offsets of the count-like varints of a frame (entry counts, batch
+/// slot count and bit width): the fields a hostile sender inflates.
+fn count_offsets(bytes: &[u8]) -> Vec<usize> {
+    let mut pos = 1;
+    let skip = |pos: &mut usize, n: usize| {
+        for _ in 0..n {
+            read_varint(bytes, pos).unwrap();
+        }
+        *pos
+    };
+    match bytes[0] {
+        // Report: nonce, task_id, then the report count.
+        2 => vec![skip(&mut pos, 2)],
+        // KeyShares / MaskedInput / UnmaskShares: round_id, then the count.
+        4..=6 => vec![skip(&mut pos, 1)],
+        // Publish: round_id, estimate, reports, then the feedback count.
+        7 => {
+            skip(&mut pos, 1);
+            pos += 8;
+            vec![skip(&mut pos, 1)]
+        }
+        // Shuffle batch: sub-tag, round_id, then the entry count.
+        10 if bytes[1] == 2 => {
+            pos = 2;
+            vec![skip(&mut pos, 1)]
+        }
+        // BatchReport: nonce, task_id, then slots and bits.
+        11 => {
+            let slots = skip(&mut pos, 2);
+            vec![slots, skip(&mut pos, 1)]
+        }
+        _ => Vec::new(),
+    }
+}
+
+/// `bytes` with the varint at `at` replaced by `value`.
+fn splice_varint(bytes: &[u8], at: usize, value: u64) -> Vec<u8> {
+    let mut end = at;
+    read_varint(bytes, &mut end).unwrap();
+    let mut out = bytes[..at].to_vec();
+    push_varint(&mut out, value);
+    out.extend_from_slice(&bytes[end..]);
+    out
+}
+
+#[test]
+fn check_agrees_with_decode_on_every_sample_truncation_and_mutation() {
+    let mut rng = StdRng::seed_from_u64(0xC4EC);
+    let mut frames: Vec<Vec<u8>> = message::samples().iter().map(Message::encode).collect();
+    for pick in 0..9 {
+        for _ in 0..4 {
+            frames.push(arb_message(pick, &mut rng).encode());
+        }
+    }
+    for bytes in &frames {
+        assert!(Message::check(bytes).is_ok());
+        assert_check_agrees(bytes);
+        for cut in 0..bytes.len() {
+            assert_check_agrees(&bytes[..cut]);
+        }
+        let mut extended = bytes.clone();
+        extended.push(rng.random_range(0..=255u8));
+        assert_check_agrees(&extended);
+        for at in count_offsets(bytes) {
+            let mut pos = at;
+            let count = read_varint(bytes, &mut pos).unwrap();
+            for inflated in [
+                count + 1,
+                count * 2 + 1,
+                count + (1 << 20),
+                1 << 40,
+                u64::MAX,
+                0,
+            ] {
+                assert_check_agrees(&splice_varint(bytes, at, inflated));
+            }
+        }
+        for _ in 0..64 {
+            let mut mutated = bytes.clone();
+            for _ in 0..rng.random_range(1..=3u32) {
+                let at = rng.random_range(0..mutated.len());
+                mutated[at] = rng.random_range(0..=255u8);
+            }
+            assert_check_agrees(&mutated);
+        }
+    }
 }
